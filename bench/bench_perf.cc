@@ -1,210 +1,18 @@
 /**
  * @file
- * perf.* — macro benchmarks of the characterization search fast path.
- *
- * Unlike the figure/table experiments (whose artifacts must be
- * byte-deterministic), these measure wall-clock time of the macro
- * workloads the shared ThresholdStore, AttemptOracle, and word-mask
- * full-scan tier optimize: the full ACmin-vs-tAggON sweep, tAggONmin
- * searches over a range of activation counts, the overlap analysis,
- * and the BER/ECC full-scan workload.  Each run
- * writes a `BENCH_<workload>.json` artifact into the `--out`
- * directory (independent of --format, so `rowpress run 'perf.*' --out
- * perf-artifacts` always produces machine-readable numbers for CI to
- * archive).  The committed perf trajectory lives in `bench/results/`.
+ * perf.serve_unit — the unit job of serve-load measurement: a tiny
+ * deterministic run (16 trivial engine tasks, one small dataset)
+ * whose cost is dominated by the Service's own per-job overhead.
+ * perfbench's serve_mix workload submits it next to the paper
+ * experiments; timing is measured from outside the program.
  */
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <thread>
-
 #include "api/context.h"
-#include "api/service.h"
-#include "chr/ecc.h"
-#include "core/thread_annotations.h"
-#include "device/cell_model.h"
-#include "device/threshold_store.h"
-#include "fuzz/search.h"
-#include "persist/snapshot.h"
 
 using namespace rp;
-using namespace rp::literals;
 
 namespace {
 
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-chr::ModuleConfig
-perfModule(api::ExperimentContext &ctx)
-{
-    return ctx.moduleConfig(device::dieS8GbB(), 50.0);
-}
-
-/** Write one BENCH_*.json artifact and mirror it into the sinks. */
-void
-emitBench(api::ExperimentContext &ctx, const std::string &workload,
-          double elapsed_ms, std::size_t units,
-          const std::string &unit_name, int locations)
-{
-    api::Dataset table(ctx.info().title);
-    table.header({"workload", "elapsed ms", unit_name,
-                  "ms per " + unit_name, "threads"});
-    table.row({workload, api::cell(elapsed_ms),
-               std::to_string(units),
-               api::cell(elapsed_ms / double(units)),
-               std::to_string(ctx.engine().numThreads())});
-    ctx.emit(table);
-
-    std::filesystem::create_directories(ctx.outDir());
-    const auto path = ctx.outDir() / ("BENCH_" + workload + ".json");
-    std::ofstream os(path);
-    os << "{\n"
-       << "  \"name\": \"" << ctx.info().id << "\",\n"
-       << "  \"workload\": \"" << workload << "\",\n"
-       << "  \"die\": \"" << device::dieS8GbB().id << "\",\n"
-       << "  \"locations\": " << locations << ",\n"
-       << "  \"threads\": " << ctx.engine().numThreads() << ",\n"
-       << "  \"" << unit_name << "\": " << units << ",\n"
-       << "  \"elapsed_ms\": " << elapsed_ms << ",\n"
-       << "  \"ms_per_" << unit_name
-       << "\": " << elapsed_ms / double(units) << "\n"
-       << "}\n";
-    ctx.notef("wrote %s\n", path.string().c_str());
-}
-
-void
-runPerfAcminSweep(api::ExperimentContext &ctx)
-{
-    const auto mc = perfModule(ctx);
-    const auto &sweep = chr::standardTAggOnSweep();
-    const auto t0 = std::chrono::steady_clock::now();
-    auto points = chr::acminSweep(mc, ctx.engine(), sweep,
-                                  chr::AccessKind::SingleSided);
-    const double ms = msSince(t0);
-    emitBench(ctx, "acmin_sweep", ms, sweep.size(), "points",
-              ctx.locations());
-}
-
-void
-runPerfTAggOnMin(api::ExperimentContext &ctx)
-{
-    const auto mc = perfModule(ctx);
-    const std::vector<std::uint64_t> acts = {1, 8, 64, 512, 4096};
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t a : acts) {
-        auto point = chr::tAggOnMinPoint(mc, ctx.engine(), a,
-                                         chr::AccessKind::SingleSided);
-        (void)point;
-    }
-    const double ms = msSince(t0);
-    emitBench(ctx, "taggonmin", ms, acts.size(), "points",
-              ctx.locations());
-}
-
-void
-runPerfOverlap(api::ExperimentContext &ctx)
-{
-    const auto mc = perfModule(ctx);
-    const std::vector<Time> t_ons = {36_ns, 7800_ns, 70200_ns, 300_us};
-    const auto t0 = std::chrono::steady_clock::now();
-    auto results = chr::overlapAtAcmin(mc, ctx.engine(), t_ons,
-                                       chr::AccessKind::SingleSided,
-                                       chr::SearchConfig{});
-    (void)results;
-    const double ms = msSince(t0);
-    emitBench(ctx, "overlap", ms, t_ons.size(), "points",
-              ctx.locations());
-}
-
-void
-runPerfBerFullScan(api::ExperimentContext &ctx)
-{
-    // The BER/ECC workload shape (fig25 / table 6): max-activation
-    // attempts with full-scan victim inspection, repeated across
-    // tAggON values, access kinds, and data patterns that all share
-    // one module configuration — exactly the reuse profile the
-    // word-mask full-scan tier amortizes its per-row build over.
-    auto mc = ctx.moduleConfig(device::dieS8GbB(), 80.0);
-    mc.numLocations = std::min(mc.numLocations, 4);
-    const auto rows = chr::baseRowsOf(mc);
-
-    const std::vector<Time> t_ons = {7800_ns, 70200_ns};
-    const std::vector<chr::AccessKind> kinds = {
-        chr::AccessKind::SingleSided, chr::AccessKind::DoubleSided};
-    const std::vector<chr::DataPattern> patterns = {
-        chr::DataPattern::CheckerBoard, chr::DataPattern::RowStripe,
-        chr::DataPattern::ColStripe};
-
-    std::size_t attempts = 0;
-    chr::WordErrorStats total;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (Time t : t_ons) {
-        for (auto kind : kinds) {
-            for (auto pattern : patterns) {
-                auto results = chr::maxActivationAttempts(
-                    mc, ctx.engine(), rows, kind, pattern, t);
-                for (const auto &attempt : results) {
-                    auto stats = chr::analyzeWordErrors(attempt.flips);
-                    auto secded = chr::evaluateSecded(attempt.flips);
-                    auto chipkill =
-                        chr::evaluateChipkill(attempt.flips, 8);
-                    (void)secded;
-                    (void)chipkill;
-                    total.merge(stats);
-                    ++attempts;
-                }
-            }
-        }
-    }
-    const double ms = msSince(t0);
-    ctx.notef("error words across all attempts: %llu\n",
-              (unsigned long long)total.totalErrorWords);
-    emitBench(ctx, "ber_fullscan", ms, attempts, "attempts",
-              mc.numLocations);
-}
-
-void
-runPerfFuzzEval(api::ExperimentContext &ctx)
-{
-    // The fuzz objective-layer workload: evaluate a batch of random
-    // genomes against Graphene, each on a private platform through
-    // the segmented fast-forward execution path.
-    fuzz::EvalConfig ec;
-    ec.module = perfModule(ctx);
-    ec.budget = 2 * units::MS;
-    const fuzz::Evaluator evaluator(ec, fuzz::MitigationKind::Graphene);
-    const fuzz::Searcher searcher(evaluator, ctx.engine());
-
-    const int n = 24;
-    std::vector<fuzz::PatternSpec> genomes;
-    for (int i = 0; i < n; ++i) {
-        Rng rng(hashU64(ctx.seed(), std::uint64_t(i)));
-        genomes.push_back(fuzz::randomPattern(rng, ec.module.bank,
-                                              ec.module.firstRow));
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    auto results = searcher.evaluateAll(genomes);
-    (void)results;
-    const double ms = msSince(t0);
-    emitBench(ctx, "fuzz_eval", ms, std::size_t(n), "patterns",
-              ctx.locations());
-}
-
-/**
- * The unit of serve-load work: a tiny deterministic run (16 trivial
- * engine tasks, one small dataset) whose cost is dominated by the
- * Service's own per-job overhead — exactly what perf.serve_load wants
- * to measure.
- */
 void
 runPerfServeUnit(api::ExperimentContext &ctx)
 {
@@ -221,242 +29,12 @@ runPerfServeUnit(api::ExperimentContext &ctx)
     ctx.emit(d);
 }
 
-void
-runPerfServeLoad(api::ExperimentContext &ctx)
-{
-    // Concurrent-serve load generator: kSessions client threads, each
-    // submitting kBursts bursts of kBurstJobs perf.serve_unit jobs
-    // against one in-process Service with a bounded queue, then
-    // awaiting the burst.  Bursts intentionally exceed workers+queue,
-    // so admission backpressure (queue_full) is part of the measured
-    // workload: a rejected submit backs off 1 ms and retries, like a
-    // well-behaved protocol client.
-    constexpr int kSessions = 4;
-    constexpr int kBursts = 5;
-    constexpr int kBurstJobs = 5;
-    constexpr int kWorkers = 2;
-    constexpr std::size_t kQueueMax = 8;
-
-    api::Service service(api::Service::Options{kWorkers, kQueueMax});
-    const std::filesystem::path job_root =
-        ctx.outDir() / "serve_load_jobs";
-
-    core::Mutex m;
-    std::vector<double> latencies; // submit-accept -> terminal, ms
-    std::atomic<std::size_t> rejected{0};
-    std::atomic<std::size_t> failed{0};
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> sessions;
-    for (int s = 0; s < kSessions; ++s) {
-        sessions.emplace_back([&, s] {
-            for (int burst = 0; burst < kBursts; ++burst) {
-                std::vector<std::pair<
-                    std::uint64_t,
-                    std::chrono::steady_clock::time_point>>
-                    inflight;
-                for (int j = 0; j < kBurstJobs; ++j) {
-                    api::JobRequest req;
-                    req.experiment = "perf.serve_unit";
-                    req.overlay = {{"threads", "1"}};
-                    req.formats = {"json"};
-                    req.outDir = job_root /
-                                 (std::to_string(s) + "_" +
-                                  std::to_string(burst) + "_" +
-                                  std::to_string(j));
-                    req.clientId = std::uint64_t(s + 1);
-                    for (;;) {
-                        const auto tj =
-                            std::chrono::steady_clock::now();
-                        try {
-                            inflight.emplace_back(
-                                service.submit(req), tj);
-                            break;
-                        } catch (const api::AdmissionError &) {
-                            rejected.fetch_add(
-                                1, std::memory_order_relaxed);
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(1));
-                        }
-                    }
-                }
-                for (const auto &[id, tj] : inflight) {
-                    const api::JobStatus st = service.wait(id);
-                    const double lat = msSince(tj);
-                    if (st.state == api::JobState::Finished) {
-                        core::LockGuard lock(m);
-                        latencies.push_back(lat);
-                    } else {
-                        failed.fetch_add(1,
-                                         std::memory_order_relaxed);
-                    }
-                }
-            }
-        });
-    }
-    for (auto &t : sessions)
-        t.join();
-    const double ms = msSince(t0);
-    service.shutdown();
-
-    std::sort(latencies.begin(), latencies.end());
-    const std::size_t n = latencies.size();
-    const double p50 = n ? latencies[n / 2] : 0.0;
-    const double p99 = n ? latencies[std::min(n - 1, n * 99 / 100)]
-                         : 0.0;
-    const double jobs_per_s = ms > 0.0 ? 1000.0 * double(n) / ms : 0.0;
-
-    api::Dataset table(ctx.info().title);
-    table.header({"jobs", "elapsed ms", "jobs/s", "p50 ms", "p99 ms",
-                  "rejected", "failed"});
-    table.row({std::to_string(n), api::cell(ms),
-               api::cell(jobs_per_s), api::cell(p50), api::cell(p99),
-               std::to_string(rejected.load()),
-               std::to_string(failed.load())});
-    ctx.emit(table);
-
-    std::filesystem::create_directories(ctx.outDir());
-    const auto path = ctx.outDir() / "BENCH_serve_load.json";
-    std::ofstream os(path);
-    os << "{\n"
-       << "  \"name\": \"" << ctx.info().id << "\",\n"
-       << "  \"sessions\": " << kSessions << ",\n"
-       << "  \"jobs\": " << n << ",\n"
-       << "  \"workers\": " << kWorkers << ",\n"
-       << "  \"queue_max\": " << kQueueMax << ",\n"
-       << "  \"elapsed_ms\": " << ms << ",\n"
-       << "  \"jobs_per_s\": " << jobs_per_s << ",\n"
-       << "  \"p50_ms\": " << p50 << ",\n"
-       << "  \"p99_ms\": " << p99 << ",\n"
-       << "  \"rejected\": " << rejected.load() << ",\n"
-       << "  \"failed\": " << failed.load() << "\n"
-       << "}\n";
-    ctx.notef("wrote %s\n", path.string().c_str());
-}
-
-void
-runPerfWarmStart(api::ExperimentContext &ctx)
-{
-    // The src/persist value proposition, measured: building both
-    // tiers of N rows cold (full candidate enumeration) vs adopting
-    // the same tiers from a snapshot file (read + validate + memcpy).
-    // Both sides use private stores, so the benchmark is hermetic —
-    // no shared registry or cache-directory state.
-    const int rows = std::max(1, int(16 * ctx.scale()));
-    device::CellModel model(device::dieS8GbB(), 65536, ctx.seed());
-    const std::string key = "perf-warm-start-key";
-
-    const auto t_cold = std::chrono::steady_clock::now();
-    const auto cold = device::ThresholdStore::makePrivate(
-        model.params(), 65536, ctx.seed());
-    for (int r = 0; r < rows; ++r) {
-        cold->row(0, 100 + r);
-        cold->wordMasks(0, 100 + r);
-    }
-    const double cold_ms = msSince(t_cold);
-
-    std::filesystem::create_directories(ctx.outDir());
-    const auto probe = ctx.outDir() / "warm_start_probe.rpsnap";
-    {
-        const std::vector<std::uint8_t> blob =
-            persist::writeSnapshot(*cold, key);
-        std::ofstream os(probe, std::ios::binary);
-        os.write(reinterpret_cast<const char *>(blob.data()),
-                 std::streamsize(blob.size()));
-    }
-
-    const auto t_warm = std::chrono::steady_clock::now();
-    const auto warm = device::ThresholdStore::makePrivate(
-        model.params(), 65536, ctx.seed());
-    std::size_t bytes = 0;
-    {
-        std::ifstream in(probe, std::ios::binary);
-        const std::vector<std::uint8_t> blob(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
-        persist::loadSnapshot(blob.data(), blob.size(), key, *warm);
-        bytes = blob.size();
-    }
-    const double warm_ms = msSince(t_warm);
-    std::filesystem::remove(probe);
-
-    const auto warm_stats = warm->stats();
-    if (int(warm_stats.candidateRows) != rows ||
-        int(warm_stats.wordMaskRows) != rows)
-        throw std::runtime_error(
-            "perf.warm_start: snapshot did not restore every tier");
-
-    const double speedup = cold_ms / std::max(warm_ms, 1e-6);
-    api::Dataset table(ctx.info().title);
-    table.header({"rows", "cold build ms", "snapshot load ms",
-                  "speedup", "snapshot bytes"});
-    table.row({std::to_string(rows), api::cell(cold_ms),
-               api::cell(warm_ms), api::cell(speedup),
-               std::to_string(bytes)});
-    ctx.emit(table);
-
-    const auto path = ctx.outDir() / "BENCH_warm_start.json";
-    std::ofstream os(path);
-    os << "{\n"
-       << "  \"name\": \"" << ctx.info().id << "\",\n"
-       << "  \"workload\": \"warm_start\",\n"
-       << "  \"die\": \"" << device::dieS8GbB().id << "\",\n"
-       << "  \"rows\": " << rows << ",\n"
-       << "  \"snapshot_bytes\": " << bytes << ",\n"
-       << "  \"cold_build_ms\": " << cold_ms << ",\n"
-       << "  \"snapshot_load_ms\": " << warm_ms << ",\n"
-       << "  \"speedup\": " << speedup << "\n"
-       << "}\n";
-    ctx.notef("wrote %s\n", path.string().c_str());
-}
-
-// Registered directly (not via REGISTER_EXPERIMENT) because the perf
-// ids contain a dot, which the macro cannot use as a C++ identifier.
-const api::ExperimentRegistrar reg_perf_acmin_sweep(
-    {"perf.acmin_sweep",
-     "Perf: ACmin-vs-tAggON sweep macro benchmark",
-     "threshold store + attempt oracle fast path", "perf"},
-    nullptr, runPerfAcminSweep);
-
-const api::ExperimentRegistrar reg_perf_taggonmin(
-    {"perf.taggonmin", "Perf: tAggONmin search macro benchmark",
-     "threshold store + attempt oracle fast path", "perf"},
-    nullptr, runPerfTAggOnMin);
-
-const api::ExperimentRegistrar reg_perf_overlap(
-    {"perf.overlap", "Perf: overlap analysis macro benchmark",
-     "threshold store + attempt oracle fast path", "perf"},
-    nullptr, runPerfOverlap);
-
-const api::ExperimentRegistrar reg_perf_ber_fullscan(
-    {"perf.ber_fullscan",
-     "Perf: BER/ECC full-scan macro benchmark",
-     "word-mask full-scan fast path + chunked attempt tasks", "perf"},
-    nullptr, runPerfBerFullScan);
-
-const api::ExperimentRegistrar reg_perf_fuzz_eval(
-    {"perf.fuzz_eval",
-     "Perf: fuzz objective-evaluation macro benchmark",
-     "segmented mitigation-aware pattern evaluation", "perf"},
-    nullptr, runPerfFuzzEval);
-
+// Registered directly (not via REGISTER_EXPERIMENT) because the id
+// contains a dot, which the macro cannot use as a C++ identifier.
 const api::ExperimentRegistrar reg_perf_serve_unit(
     {"perf.serve_unit",
      "Perf: serve-load unit job (tiny deterministic run)",
      "per-job Service overhead isolation", "perf"},
     nullptr, runPerfServeUnit);
-
-const api::ExperimentRegistrar reg_perf_warm_start(
-    {"perf.warm_start",
-     "Perf: snapshot warm start vs cold tier build",
-     "persist snapshot load against candidate enumeration", "perf"},
-    nullptr, runPerfWarmStart);
-
-const api::ExperimentRegistrar reg_perf_serve_load(
-    {"perf.serve_load",
-     "Perf: concurrent-serve load generator macro benchmark",
-     "job scheduling, admission backpressure, per-job engines",
-     "perf"},
-    nullptr, runPerfServeLoad);
 
 } // namespace

@@ -35,13 +35,11 @@ baseSchema()
 
 ExperimentContext::ExperimentContext(ExperimentInfo info, Config config,
                                      core::ExperimentEngine &engine,
-                                     JobEventEmitter emit,
-                                     std::filesystem::path out_dir)
+                                     JobEventEmitter emit)
     : info_(std::move(info)),
       config_(std::move(config)),
       engine_(engine),
-      emit_(std::move(emit)),
-      outDir_(std::move(out_dir))
+      emit_(std::move(emit))
 {
 }
 

@@ -149,17 +149,6 @@ acminPoint(const ModuleConfig &mc, core::ExperimentEngine &engine,
 }
 
 std::vector<SweepPoint>
-acminSweep(Module &module, const std::vector<Time> &t_agg_ons,
-           AccessKind kind, DataPattern pattern, const SearchConfig &cfg)
-{
-    std::vector<SweepPoint> points;
-    points.reserve(t_agg_ons.size());
-    for (Time t : t_agg_ons)
-        points.push_back(acminPoint(module, t, kind, pattern, cfg));
-    return points;
-}
-
-std::vector<SweepPoint>
 acminSweep(const ModuleConfig &mc, core::ExperimentEngine &engine,
            const std::vector<Time> &t_agg_ons, AccessKind kind,
            DataPattern pattern, const SearchConfig &cfg)
@@ -212,7 +201,8 @@ acminSweep(const ModuleConfig &mc, core::ExperimentEngine &engine,
     for (std::size_t ti = 0; ti < t_agg_ons.size(); ++ti)
         points[ti].tAggOn = t_agg_ons[ti];
     // descs iterate locations in row order, so per-point location
-    // lists assemble in the same order as the serial driver.
+    // lists assemble in the same order as acminPoint(Module&) visits
+    // base rows.
     for (std::size_t di = 0; di < descs.size(); ++di) {
         const TaskDesc &d = descs[di];
         for (std::size_t ti = d.first; ti < d.last; ++ti)

@@ -119,21 +119,15 @@ SweepPoint acminPoint(const ModuleConfig &mc,
                       DataPattern pattern = DataPattern::CheckerBoard,
                       const SearchConfig &cfg = {});
 
-/** Full ACmin-vs-tAggON sweep (Figs. 6, 8, 12, 13, 14, 17). */
-std::vector<SweepPoint>
-acminSweep(Module &module, const std::vector<Time> &t_agg_ons,
-           AccessKind kind,
-           DataPattern pattern = DataPattern::CheckerBoard,
-           const SearchConfig &cfg = {});
-
 /**
- * Engine-parallel sweep: (location, tAggON-chunk) tasks — when the
- * engine has more workers than locations, each location's sweep is
- * split into contiguous tAggON slices (ExperimentEngine::chunksPerTask
- * + core::splitRanges) so sweep jobs scale past numLocations on
+ * Full ACmin-vs-tAggON sweep (Figs. 6, 8, 12, 13, 14, 17) as
+ * engine-parallel (location, tAggON-chunk) tasks.  When the engine
+ * has more workers than locations, each location's sweep is split
+ * into contiguous tAggON slices (ExperimentEngine::chunksPerTask +
+ * core::splitRanges) so sweep jobs scale past numLocations on
  * many-core hosts.  Each task runs on a private single-location
  * Module and the oracle-backed search never mutates the platform, so
- * any chunking is bit-identical to the serial per-location sweep.
+ * results are bit-identical at any chunk and thread count.
  */
 std::vector<SweepPoint>
 acminSweep(const ModuleConfig &mc, core::ExperimentEngine &engine,

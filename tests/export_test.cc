@@ -9,11 +9,22 @@
 #include <sstream>
 
 #include "chr/export.h"
+#include "core/engine.h"
 
 namespace rp::chr {
 namespace {
 
 using namespace rp::literals;
+
+/** The engine-parallel single-sided sweep on a one-thread engine. */
+std::vector<SweepPoint>
+sweepOnOneThread(const ModuleConfig &cfg, const std::vector<Time> &t_agg_ons)
+{
+    core::ExperimentEngine::Options opts;
+    opts.numThreads = 1;
+    core::ExperimentEngine engine(opts);
+    return acminSweep(cfg, engine, t_agg_ons, AccessKind::SingleSided);
+}
 
 TEST(CsvExport, EscapingRules)
 {
@@ -61,9 +72,7 @@ TEST(CsvExport, SweepRoundTripValues)
     cfg.die = device::dieS8GbD();
     cfg.numLocations = 3;
     cfg.temperatureC = 80.0;
-    Module module(cfg);
-    auto sweep = acminSweep(module, {7800_ns, 70200_ns},
-                            AccessKind::SingleSided);
+    auto sweep = sweepOnOneThread(cfg, {7800_ns, 70200_ns});
 
     std::ostringstream os;
     writeAcminSweepCsv(os, cfg.die.id, 80.0, AccessKind::SingleSided,
@@ -96,9 +105,7 @@ TEST(CsvExport, AcminSweepTidyFormat)
     cfg.die = device::dieS8GbD();
     cfg.numLocations = 3;
     cfg.temperatureC = 80.0;
-    Module module(cfg);
-    auto sweep = acminSweep(module, {7800_ns, 70200_ns},
-                            AccessKind::SingleSided);
+    auto sweep = sweepOnOneThread(cfg, {7800_ns, 70200_ns});
 
     std::ostringstream os;
     writeAcminSweepCsv(os, cfg.die.id, 80.0, AccessKind::SingleSided,

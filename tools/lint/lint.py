@@ -62,8 +62,6 @@ D1_ALLOWLIST = {
     "src/api/service.cc":
         "job deadlines, retry backoff, elapsed-ms metadata: wall "
         "clock feeds scheduling and status only, never result rows",
-    "bench/bench_perf.cc":
-        "benchmark timing is the measurement itself",
 }
 
 D1_PATTERNS = [
