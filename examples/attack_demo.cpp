@@ -27,7 +27,7 @@ main(int argc, char **argv)
 
     std::printf("Target system: %s module with in-DRAM TRR, adaptive "
                 "open-row controller\n",
-                cfg.dieId.c_str());
+                sys::kDemoDieId);
     std::printf("Victims: %d, iterations: %d (paper: 1500 / 800K)\n\n",
                 cfg.numVictims, cfg.numIters);
 

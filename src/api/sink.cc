@@ -1,10 +1,10 @@
 #include "api/sink.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "api/env.h"
+#include "api/json.h"
 #include "chr/export.h"
 
 namespace rp::api {
@@ -126,83 +126,23 @@ CsvSink::rawCsv(const std::string &name,
 
 // ---- JsonSink --------------------------------------------------------
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (unsigned char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += char(c);
-            }
-        }
-    }
-    return out;
-}
-
-bool
-looksNumeric(const std::string &text)
-{
-    // Exact RFC 8259 number grammar:
-    //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-    // (strtod would also accept hex, "1.", "007", inf/nan — all of
-    // which are invalid JSON and must stay quoted).
-    std::size_t i = 0;
-    const std::size_t n = text.size();
-    auto digits = [&]() {
-        const std::size_t start = i;
-        while (i < n && text[i] >= '0' && text[i] <= '9')
-            ++i;
-        return i > start;
-    };
-    if (i < n && text[i] == '-')
-        ++i;
-    if (i >= n)
-        return false;
-    if (text[i] == '0') {
-        ++i;
-    } else if (text[i] >= '1' && text[i] <= '9') {
-        digits();
-    } else {
-        return false;
-    }
-    if (i < n && text[i] == '.') {
-        ++i;
-        if (!digits())
-            return false;
-    }
-    if (i < n && (text[i] == 'e' || text[i] == 'E')) {
-        ++i;
-        if (i < n && (text[i] == '+' || text[i] == '-'))
-            ++i;
-        if (!digits())
-            return false;
-    }
-    return i == n;
-}
-
 namespace {
 
-void
-writeJsonValue(std::ostream &os, const std::string &text)
+/** A table cell or config value: a number when it reads as one. */
+JsonValue
+scalar(const std::string &text)
 {
-    if (looksNumeric(text))
-        os << text;
-    else
-        os << '"' << jsonEscape(text) << '"';
+    return looksNumeric(text) ? JsonValue::number(text)
+                              : JsonValue::string(text);
+}
+
+JsonValue
+stringArray(const std::vector<std::string> &items)
+{
+    JsonValue arr = JsonValue::array();
+    for (const auto &item : items)
+        arr.push(JsonValue::string(item));
+    return arr;
 }
 
 } // namespace
@@ -244,58 +184,43 @@ JsonSink::endExperiment()
     if (!os)
         throw ConfigError("cannot write " + path.string());
 
-    os << "{\n";
-    os << "  \"experiment\": \"" << jsonEscape(info_.id) << "\",\n";
-    os << "  \"title\": \"" << jsonEscape(info_.title) << "\",\n";
-    os << "  \"paper_ref\": \"" << jsonEscape(info_.paperRef)
-       << "\",\n";
-    os << "  \"category\": \"" << jsonEscape(info_.category)
-       << "\",\n";
+    JsonValue doc = JsonValue::object();
+    doc.add("experiment", JsonValue::string(info_.id));
+    doc.add("title", JsonValue::string(info_.title));
+    doc.add("paper_ref", JsonValue::string(info_.paperRef));
+    doc.add("category", JsonValue::string(info_.category));
     if (!config_.empty()) {
         // The fully resolved config (defaults < env < overlay): the
         // values this run actually used, so the artifact reproduces
         // with `rowpress run <experiment>` plus the non-default keys.
-        os << "  \"config\": {";
-        for (std::size_t i = 0; i < config_.size(); ++i) {
-            const ConfigValue &kv = config_[i];
-            os << (i ? ",\n             " : "\n             ");
-            os << '"' << jsonEscape(kv.key) << "\": {\"value\": ";
-            writeJsonValue(os, kv.value);
-            os << ", \"origin\": \"" << jsonEscape(kv.origin)
-               << "\"}";
+        JsonValue config = JsonValue::object();
+        for (const ConfigValue &kv : config_) {
+            JsonValue entry = JsonValue::object();
+            entry.add("value", scalar(kv.value));
+            entry.add("origin", JsonValue::string(kv.origin));
+            config.add(kv.key, std::move(entry));
         }
-        os << "\n  },\n";
+        doc.add("config", std::move(config));
     }
-    os << "  \"datasets\": [";
-    for (std::size_t di = 0; di < datasets_.size(); ++di) {
-        const Dataset &d = datasets_[di];
-        os << (di ? ",\n" : "\n");
-        os << "    {\n      \"name\": \"" << jsonEscape(d.name)
-           << "\",\n      \"columns\": [";
-        for (std::size_t i = 0; i < d.columns.size(); ++i) {
-            os << (i ? ", " : "") << '"' << jsonEscape(d.columns[i])
-               << '"';
+    JsonValue datasets = JsonValue::array();
+    for (const Dataset &d : datasets_) {
+        JsonValue rows = JsonValue::array();
+        for (const auto &row : d.rows) {
+            JsonValue cells = JsonValue::array();
+            for (const auto &cell : row)
+                cells.push(scalar(cell));
+            rows.push(std::move(cells));
         }
-        os << "],\n      \"rows\": [";
-        for (std::size_t ri = 0; ri < d.rows.size(); ++ri) {
-            os << (ri ? ",\n                " : "") << "[";
-            const auto &row = d.rows[ri];
-            for (std::size_t i = 0; i < row.size(); ++i) {
-                if (i)
-                    os << ", ";
-                writeJsonValue(os, row[i]);
-            }
-            os << "]";
-        }
-        os << "]\n    }";
+        JsonValue set = JsonValue::object();
+        set.add("name", JsonValue::string(d.name));
+        set.add("columns", stringArray(d.columns));
+        set.add("rows", std::move(rows));
+        datasets.push(std::move(set));
     }
-    os << "\n  ],\n";
-    os << "  \"notes\": [";
-    for (std::size_t i = 0; i < notes_.size(); ++i) {
-        os << (i ? ",\n            " : "") << '"'
-           << jsonEscape(notes_[i]) << '"';
-    }
-    os << "]\n}\n";
+    doc.add("datasets", std::move(datasets));
+    doc.add("notes", stringArray(notes_));
+    writeJson(os, doc, 2);
+    os << "\n";
     // The artifact is on disk; keeping the collected results alive
     // for the sink's remaining lifetime would only hold memory (a
     // long-lived service finishes many experiments per process).

@@ -150,15 +150,6 @@ class JsonSink : public ResultSink
  */
 void applyJobEvent(ResultSink &sink, const JobEvent &event);
 
-/** JSON string escaping (exposed for tests). */
-std::string jsonEscape(const std::string &s);
-
-/**
- * True when @p text is a complete finite number (JSON emits it
- * unquoted, preserving the exact formatted value).
- */
-bool looksNumeric(const std::string &text);
-
 /**
  * Build the sink for @p format ("table" | "csv" | "json"); file sinks
  * write under @p out_dir, "table" renders to @p os.  Throws

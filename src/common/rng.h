@@ -52,7 +52,7 @@ toUnitDouble(std::uint64_t h)
 
 /**
  * Counter-based generator: derive any number of independent uniform /
- * normal / lognormal variates from a fixed key.  Cheap enough to call
+ * normal variates from a fixed key.  Cheap enough to call
  * per cell per query.
  */
 class HashRng
@@ -78,13 +78,6 @@ class HashRng
             u1 = 1e-300;
         return std::sqrt(-2.0 * std::log(u1)) *
                std::cos(6.283185307179586 * u2);
-    }
-
-    /** Lognormal with the given log-space mean and sigma. */
-    double
-    lognormal(std::uint64_t tag, double mu_log, double sigma_log) const
-    {
-        return std::exp(mu_log + sigma_log * normal(tag));
     }
 
   private:

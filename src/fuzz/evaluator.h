@@ -3,7 +3,8 @@
  * Mitigation-aware objective layer of the pattern search.
  *
  * An Evaluator scores one genome against one configured mitigation
- * (none / TRR-like / Graphene / PARA) on a private simulated DIMM:
+ * (none / in-DRAM TRR / Graphene / PARA, each a
+ * mitigation::Mitigation) on a private simulated DIMM:
  *
  *  1. the genome's act stream is pre-simulated through the mitigation
  *     model to find every preventive-refresh intervention (PARA's
@@ -50,9 +51,6 @@ const char *mitigationKindName(MitigationKind kind);
 /** All kinds, in bypass-matrix presentation order. */
 const std::vector<MitigationKind> &allMitigationKinds();
 
-/** mitigationKindName's inverse; fatal()s on a miss. */
-MitigationKind mitigationKindByName(const std::string &name);
-
 /** Evaluation parameters shared by every trial of a search. */
 struct EvalConfig
 {
@@ -96,7 +94,6 @@ class Evaluator
     }
 
     const EvalConfig &config() const { return cfg_; }
-    MitigationKind kind() const { return kind_; }
 
     /** Pure function of (config, kind, genome). */
     Score evaluate(const PatternSpec &spec) const;

@@ -45,7 +45,6 @@ class Graphene : public Mitigation
   public:
     explicit Graphene(GrapheneConfig cfg);
 
-    std::string name() const override { return "Graphene"; }
     void onActivate(int flat_bank, int row,
                     std::vector<int> &victims) override;
     void onRefreshWindow() override;
@@ -60,7 +59,6 @@ class Graphene : public Mitigation
 
     GrapheneConfig cfg_;
     std::vector<std::vector<Entry>> tables_; ///< Per bank.
-    std::vector<std::uint32_t> spill_;       ///< Per-bank spill counter.
 };
 
 } // namespace rp::mitigation

@@ -36,8 +36,6 @@ class IdealCounter : public Mitigation
 
     explicit IdealCounter(Config cfg) : cfg_(cfg) {}
 
-    std::string name() const override { return "IdealCounter"; }
-
     void
     onActivate(int flat_bank, int row,
                std::vector<int> &victims) override

@@ -1,30 +1,25 @@
 /**
  * @file
- * Read-disturbance mitigation interface used by the performance
- * simulator's memory controller (paper section 7).
- *
- * A mitigation observes every row activation and may request
- * *preventive refreshes* of potential victim rows; the controller
- * models their cost (the bank is busy for one row cycle per refreshed
- * row).
+ * Read-disturbance mitigation interface of every controller model:
+ * sim::Controller (paper section 7), sys::MemCtrl (section 6) and the
+ * fuzz evaluator.  A mitigation observes every activation and REF and
+ * may request *preventive refreshes* of potential victim rows; the
+ * controller models their cost.
  */
 
 #ifndef ROWPRESS_MITIGATION_MITIGATION_H
 #define ROWPRESS_MITIGATION_MITIGATION_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rp::mitigation {
 
-/** Base class for activation-triggered mitigation mechanisms. */
+/** Base class for read-disturbance mitigation mechanisms. */
 class Mitigation
 {
   public:
     virtual ~Mitigation() = default;
-
-    virtual std::string name() const = 0;
 
     /**
      * Observe an activation of @p row in @p flat_bank; append any
@@ -32,6 +27,10 @@ class Mitigation
      */
     virtual void onActivate(int flat_bank, int row,
                             std::vector<int> &victims) = 0;
+
+    /** A REF reached @p flat_bank: same contract as onActivate. */
+    virtual void
+    onRefresh(int /*flat_bank*/, std::vector<int> & /*victims*/) {}
 
     /** Called at every refresh-window (tREFW) boundary. */
     virtual void onRefreshWindow() {}

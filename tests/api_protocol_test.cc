@@ -4,8 +4,9 @@
  * machine-readable experiment listing shared with `rowpress list
  * --format json`, and a full NDJSON session against a Service —
  * submit/status/list/cancel/cache verbs, error responses for
- * malformed requests, tag echo, and the EOF drain that makes
- * `printf ... | rowpress serve` run everything it was fed.
+ * malformed requests, tag echo, the request-line size cap, and the
+ * EOF drain that makes `printf ... | rowpress serve` run everything
+ * it was fed.
  */
 
 #include <gtest/gtest.h>
@@ -282,6 +283,39 @@ TEST(ApiProtocol, RequestsRejectUnknownMembers)
     EXPECT_EQ(errors, 2u);
     // Nothing ran.
     EXPECT_TRUE(service.jobs().empty());
+}
+
+TEST(ApiProtocol, OverlongRequestLineEndsSession)
+{
+    // A valid request, then 2 MiB without a newline that starts like
+    // a submit: the session answers it with one error, submits
+    // nothing, and stops reading at the 1 MiB cap instead of
+    // buffering the rest.
+    const std::string head = "{\"op\":\"status\"}\n";
+    std::string flood =
+        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\",\"tag\":\"";
+    flood.append((std::size_t(2) << 20) - flood.size(), 'x');
+    std::istringstream in(head + flood);
+    std::ostringstream out;
+    Service service;
+    EXPECT_EQ(serveSession(service, in, out), 0);
+
+    std::istringstream lines(out.str());
+    std::string line;
+    std::vector<JsonValue> responses;
+    while (std::getline(lines, line)) {
+        JsonValue v = parseJson(line);
+        if (!v.find("event"))
+            responses.push_back(std::move(v));
+    }
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_TRUE(responses[0].find("ok")->boolean);
+    EXPECT_EQ(responses[0].find("op")->text, "status");
+    EXPECT_FALSE(responses[1].find("ok")->boolean);
+    EXPECT_NE(responses[1].find("error")->text.find("exceeds"),
+              std::string::npos);
+    EXPECT_TRUE(service.jobs().empty());
+    EXPECT_LT(std::size_t(in.tellg()), head.size() + (std::size_t(3) << 19));
 }
 
 TEST(ApiProtocol, ServeRejectsRunOnlyFlags)

@@ -20,6 +20,7 @@
 
 #include "api/cli.h"
 #include "api/context.h"
+#include "api/json.h"
 #include "api/service.h"
 #include "device/die_config.h"
 
@@ -198,9 +199,16 @@ TEST(ApiService, SubmitRunsAndStreamsOrderedEvents)
     }
     EXPECT_TRUE(saw_locations);
     // result.json embeds the same resolved config.
-    const std::string json = slurp(out / "zzsvc_sweep" / "result.json");
-    EXPECT_NE(json.find("\"config\""), std::string::npos);
-    EXPECT_NE(json.find("\"origin\": \"cli\""), std::string::npos);
+    const JsonValue doc =
+        parseJson(slurp(out / "zzsvc_sweep" / "result.json"));
+    const JsonValue *config = doc.find("config");
+    ASSERT_NE(config, nullptr);
+    const JsonValue *locations = config->find("locations");
+    ASSERT_NE(locations, nullptr);
+    ASSERT_NE(locations->find("value"), nullptr);
+    EXPECT_EQ(locations->find("value")->text, "1");
+    ASSERT_NE(locations->find("origin"), nullptr);
+    EXPECT_EQ(locations->find("origin")->text, "cli");
 }
 
 TEST(ApiService, SubmitValidatesBeforeRunning)

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "api/env.h"
+#include "api/json.h"
 #include "api/sink.h"
 #include "chr/export.h"
 
@@ -166,14 +167,32 @@ TEST(ApiSink, JsonSinkWritesWellFormedResult)
     sink.note("note with \"quotes\"\n");
     sink.endExperiment();
 
-    const auto text = slurp(dir / "sink_test" / "result.json");
-    EXPECT_NE(text.find("\"experiment\": \"sink_test\""),
-              std::string::npos);
+    const JsonValue doc =
+        parseJson(slurp(dir / "sink_test" / "result.json"));
+    ASSERT_NE(doc.find("experiment"), nullptr);
+    EXPECT_EQ(doc.find("experiment")->text, "sink_test");
+    const JsonValue *sets = doc.find("datasets");
+    ASSERT_NE(sets, nullptr);
+    ASSERT_EQ(sets->items.size(), 1u);
+    const JsonValue *rows = sets->items[0].find("rows");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_EQ(rows->items.size(), 2u);
     // Strings quoted, numbers bare.
-    EXPECT_NE(text.find("[\"36ns\", \"381.7K\"]"), std::string::npos);
-    EXPECT_NE(text.find("[\"x\", 1.25]"), std::string::npos);
-    EXPECT_NE(text.find("note with \\\"quotes\\\""),
-              std::string::npos);
+    const auto cell = [&](std::size_t r, std::size_t c) {
+        return rows->items[r].items.at(c);
+    };
+    EXPECT_EQ(cell(0, 0).kind, JsonValue::Kind::String);
+    EXPECT_EQ(cell(0, 0).text, "36ns");
+    EXPECT_EQ(cell(0, 1).kind, JsonValue::Kind::String);
+    EXPECT_EQ(cell(0, 1).text, "381.7K");
+    EXPECT_EQ(cell(1, 0).kind, JsonValue::Kind::String);
+    EXPECT_EQ(cell(1, 0).text, "x");
+    EXPECT_EQ(cell(1, 1).kind, JsonValue::Kind::Number);
+    EXPECT_EQ(cell(1, 1).text, "1.25");
+    const JsonValue *notes = doc.find("notes");
+    ASSERT_NE(notes, nullptr);
+    ASSERT_EQ(notes->items.size(), 1u);
+    EXPECT_EQ(notes->items[0].text, "note with \"quotes\"\n");
 }
 
 TEST(ApiSink, MakeSinkFactory)

@@ -893,10 +893,14 @@ TEST(FaultTcp, IdleSessionTimesOutWithoutKillingItsJobs)
     std::ostringstream log;
     ServerHandle server = startServer(service, opts, log);
 
+    // Everything the first request needs is prepared before
+    // connecting: the 200 ms idle budget starts at accept, so any
+    // work between connect and send races it.
+    const fs::path out = tempDir("rp_flt_tcp_idle");
+    const std::string submit = submitLine("zzflt_gate", out / "gate");
     TcpClient idler;
     ASSERT_TRUE(idler.connectTo(opts.port));
-    const fs::path out = tempDir("rp_flt_tcp_idle");
-    idler.sendLine(submitLine("zzflt_gate", out / "gate"));
+    idler.sendLine(submit);
     JsonValue submitted;
     ASSERT_TRUE(idler.readResponse(submitted));
     const std::string job = submitted.find("job")->text;

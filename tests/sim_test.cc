@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "mitigation/para.h"
+#include "mitigation/trr.h"
 #include "sim/system.h"
 
 namespace rp::sim {
@@ -145,6 +146,37 @@ TEST(Controller, MitigationVictimsCostPreventiveActs)
     EXPECT_GE(mc.stats().preventiveActs, 1u);
     // Preventive refreshes never recurse into the mitigation.
     EXPECT_LE(mc.stats().preventiveActs, 2u);
+}
+
+TEST(Controller, TrrVictimsArePreventiveActsAfterRefresh)
+{
+    ControllerConfig cfg;
+    mitigation::Trr trr(cfg.org.totalBanks());
+    cfg.mitigation = &trr;
+    Controller mc(cfg);
+    Request::Slot slot;
+    Request a;
+    a.addr.row = 50;
+    a.slot = &slot;
+    mc.enqueue(a);
+
+    // Rank 0 refreshes first, half a tREFI in (staggered ranks).
+    const Time first_ref = cfg.timing.tREFI / 2;
+    Time now = 0;
+    for (; now < first_ref - 100_ns; now += cfg.timing.tCK)
+        mc.tick(now);
+    ASSERT_GE(slot.doneAt, 0);
+    EXPECT_EQ(mc.stats().refreshes, 0u);
+    EXPECT_EQ(mc.stats().preventiveActs, 0u); // TRR is silent at ACTs
+
+    for (; now < 2 * cfg.timing.tREFI; now += cfg.timing.tCK)
+        mc.tick(now);
+    EXPECT_GE(mc.stats().refreshes, 3u);
+    // The REF after row 50's ACT refreshes rows 48, 49, 51 and 52;
+    // later REFs find the sampler empty.
+    EXPECT_EQ(mc.stats().preventiveActs, 4u);
+    EXPECT_EQ(trr.targetedRefreshes(), 1u);
+    EXPECT_TRUE(mc.drained());
 }
 
 TEST(Controller, RowActCountsAreTracked)

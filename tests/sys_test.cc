@@ -1,21 +1,40 @@
 /**
  * @file
- * Real-system substrate tests: the TRR engine (recency sampling,
- * counter table, dummy-row bypass), the adaptive-open-row memory
- * controller, and the cache model.
+ * Real-system substrate tests: in-DRAM TRR (recency sampling,
+ * counter table, dummy-row bypass, per-bank state), the
+ * adaptive-open-row memory controller, and the cache model.
  */
 
 #include <gtest/gtest.h>
 
 #include "dram/timing.h"
+#include "mitigation/trr.h"
 #include "sys/cache.h"
 #include "sys/memctrl.h"
-#include "sys/trr.h"
 
 namespace rp::sys {
 namespace {
 
 using namespace rp::literals;
+using mitigation::Trr;
+
+/** Activate @p row in @p bank; TRR never asks for victims at an ACT. */
+void
+activate(Trr &trr, int row, int bank = 0)
+{
+    std::vector<int> victims;
+    trr.onActivate(bank, row, victims);
+    EXPECT_TRUE(victims.empty());
+}
+
+/** The victims of one REF at @p bank. */
+std::vector<int>
+refresh(Trr &trr, int bank = 0)
+{
+    std::vector<int> victims;
+    trr.onRefresh(bank, victims);
+    return victims;
+}
 
 TEST(Cache, LoadHitMissAndFlush)
 {
@@ -31,10 +50,10 @@ TEST(Cache, LoadHitMissAndFlush)
 
 TEST(Trr, RecencySamplerCatchesLastActivatedRows)
 {
-    TrrEngine trr;
-    trr.onActivate(100);
-    trr.onActivate(200);
-    auto victims = trr.onRefresh();
+    Trr trr(1);
+    activate(trr, 100);
+    activate(trr, 200);
+    auto victims = refresh(trr);
     // Neighbors of rows 200 and 100 at distance 1 and 2.
     for (int v : {98, 99, 101, 102, 198, 199, 201, 202})
         EXPECT_NE(std::find(victims.begin(), victims.end(), v),
@@ -45,12 +64,12 @@ TEST(Trr, RecencySamplerCatchesLastActivatedRows)
 
 TEST(Trr, DummyRowsShadowAggressorsFromRecency)
 {
-    TrrEngine trr;
-    trr.onActivate(500); // aggressor
-    trr.onActivate(501); // aggressor
+    Trr trr(1);
+    activate(trr, 500); // aggressor
+    activate(trr, 501); // aggressor
     for (int d = 0; d < 16; ++d)
-        trr.onActivate(1000 + d * 8); // dummy phase before REF
-    auto victims = trr.onRefresh();
+        activate(trr, 1000 + d * 8); // dummy phase before REF
+    auto victims = refresh(trr);
     for (int v : victims) {
         EXPECT_GT(v, 900); // only dummy neighbors refreshed
     }
@@ -58,16 +77,16 @@ TEST(Trr, DummyRowsShadowAggressorsFromRecency)
 
 TEST(Trr, CounterTableCatchesSustainedHammering)
 {
-    TrrEngine::Config cfg;
+    Trr::Config cfg;
     cfg.actThreshold = 16;
-    TrrEngine trr(cfg);
+    Trr trr(1, cfg);
     bool caught = false;
     for (int ref = 0; ref < 20 && !caught; ++ref) {
         for (int i = 0; i < 8; ++i)
-            trr.onActivate(321);
+            activate(trr, 321);
         // A couple of other rows that do not crowd it out.
-        trr.onActivate(900);
-        auto victims = trr.onRefresh();
+        activate(trr, 900);
+        auto victims = refresh(trr);
         caught = std::find(victims.begin(), victims.end(), 322) !=
                  victims.end();
     }
@@ -76,13 +95,51 @@ TEST(Trr, CounterTableCatchesSustainedHammering)
 
 TEST(Trr, RecencyResetsAfterRefresh)
 {
-    TrrEngine trr;
-    trr.onActivate(100);
-    trr.onRefresh();
+    Trr trr(1);
+    activate(trr, 100);
+    refresh(trr);
     // No activations since the last REF: nothing recency-sampled and
     // no counter above threshold.
-    auto victims = trr.onRefresh();
+    auto victims = refresh(trr);
     EXPECT_TRUE(victims.empty());
+}
+
+TEST(Trr, RefreshTouchesOnlyItsOwnVictims)
+{
+    Trr trr(1);
+    activate(trr, 100);
+    activate(trr, 101);
+    // Entries already in the buffer are neither sorted, deduplicated
+    // nor counted: only the REF's own victims are.
+    std::vector<int> victims = {500, 7, 500};
+    trr.onRefresh(0, victims);
+    const std::vector<int> want = {500, 7,  500, 98, 99,
+                                   100, 101, 102, 103};
+    EXPECT_EQ(victims, want);
+    EXPECT_EQ(trr.targetedRefreshes(), 1u);
+}
+
+TEST(Trr, BankStateNeverLeaksIntoAnotherBanksRefresh)
+{
+    Trr::Config cfg;
+    cfg.actThreshold = 8;
+    Trr trr(4, cfg);
+    // Hammer bank 2 past the counter threshold and leave its last
+    // rows in the recency sampler.
+    for (int i = 0; i < 64; ++i) {
+        activate(trr, 700, /*bank=*/2);
+        activate(trr, 702, /*bank=*/2);
+    }
+    for (int bank : {0, 1, 3})
+        EXPECT_TRUE(refresh(trr, bank).empty()) << bank;
+    EXPECT_EQ(trr.targetedRefreshes(), 0u);
+    EXPECT_FALSE(refresh(trr, 2).empty());
+    EXPECT_EQ(trr.targetedRefreshes(), 1u);
+
+    // Another bank's activations do not feed bank 2's sampler.
+    activate(trr, 300, /*bank=*/1);
+    for (int v : refresh(trr, 2))
+        EXPECT_GT(v, 690) << v;
 }
 
 device::Chip
@@ -97,9 +154,7 @@ makeChip()
 TEST(MemCtrl, AdaptiveOpenRowServesHitsWithoutReactivation)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    cfg.trrEnabled = false;
-    MemCtrl mc(chip, cfg);
+    MemCtrl mc(chip, nullptr);
     mc.readBlock(1, 100, 0, 1_us);
     const auto acts_after_first = mc.activates();
     for (int c = 1; c < 8; ++c)
@@ -112,9 +167,7 @@ TEST(MemCtrl, AdaptiveOpenRowServesHitsWithoutReactivation)
 TEST(MemCtrl, RowConflictLatencyExceedsRowHit)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    cfg.trrEnabled = false;
-    MemCtrl mc(chip, cfg);
+    MemCtrl mc(chip, nullptr);
     mc.readBlock(1, 100, 0, 1_us);
     const Time t0 = mc.now() + 1_us;
     const Time hit = mc.readBlock(1, 100, 1, t0) - t0;
@@ -126,8 +179,8 @@ TEST(MemCtrl, RowConflictLatencyExceedsRowHit)
 TEST(MemCtrl, AutoRefreshFiresEveryTrefi)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    MemCtrl mc(chip, cfg);
+    Trr trr(chip.org().totalBanks());
+    MemCtrl mc(chip, &trr);
     mc.advanceTo(10 * chip.timing().tREFI + 1_us);
     EXPECT_EQ(mc.refreshesIssued(), 10u);
 }
@@ -135,8 +188,8 @@ TEST(MemCtrl, AutoRefreshFiresEveryTrefi)
 TEST(MemCtrl, RefreshClosesOpenRow)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    MemCtrl mc(chip, cfg);
+    Trr trr(chip.org().totalBanks());
+    MemCtrl mc(chip, &trr);
     mc.readBlock(1, 100, 0, 1_us);
     EXPECT_TRUE(chip.bank(1).isOpen());
     mc.advanceTo(chip.timing().tREFI + 1_us);
@@ -147,9 +200,7 @@ TEST(MemCtrl, RefreshClosesOpenRow)
 TEST(MemCtrl, TrackedRowsAccumulateOpenTime)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    cfg.trrEnabled = false;
-    MemCtrl mc(chip, cfg);
+    MemCtrl mc(chip, nullptr);
     mc.trackRow(1, 100);
     mc.readBlock(1, 100, 0, 1_us);
     for (int c = 1; c < 16; ++c)
@@ -165,9 +216,10 @@ TEST(MemCtrl, TrackedRowsAccumulateOpenTime)
 TEST(MemCtrl, TrrRefreshesVictimsOfHammeredRow)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    cfg.trr.actThreshold = 8;
-    MemCtrl mc(chip, cfg);
+    Trr::Config cfg;
+    cfg.actThreshold = 8;
+    Trr trr(chip.org().totalBanks(), cfg);
+    MemCtrl mc(chip, &trr);
     // Hammer a row continuously across several REF windows with no
     // dummy cover: TRR must target it.
     Time t = 1_us;
@@ -176,7 +228,7 @@ TEST(MemCtrl, TrrRefreshesVictimsOfHammeredRow)
         mc.readBlock(1, 4100, 0, mc.now() + 5_ns); // conflict partner
         t = mc.now() + 5_ns;
     }
-    EXPECT_GT(mc.targetedRefreshes(), 0u);
+    EXPECT_GT(trr.targetedRefreshes(), 0u);
     // The victim's accumulated dose was cleared by TRR along the way.
     EXPECT_TRUE(chip.fault().dose(1, 4001).hammer[0] <
                 double(mc.activates()));
