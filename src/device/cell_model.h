@@ -69,7 +69,6 @@ struct DoseState
 {
     double hammer[2] = {0.0, 0.0};  ///< Weighted ACT counts.
     double press[2] = {0.0, 0.0};   ///< Weighted on-time (ps).
-    Time lastRestore = 0;           ///< Wall-clock of last restore.
 
     bool
     empty() const

@@ -6,9 +6,18 @@
 
 namespace rp::device {
 
+namespace {
+
+const std::unordered_map<int, std::uint8_t> kNoOverrides;
+
+} // namespace
+
 Chip::Chip(const DieConfig &die, dram::Organization org,
            dram::TimingParams timing, std::uint64_t seed)
-    : org_(org), timing_(timing), fault_(die, org, seed)
+    : org_(org),
+      timing_(timing),
+      fault_(die, org, seed),
+      data_(org.totalBanks(), org.rows)
 {
     banks_.reserve(std::size_t(org_.totalBanks()));
     for (int b = 0; b < org_.totalBanks(); ++b)
@@ -95,25 +104,17 @@ Chip::refresh(Time now)
     const int hi = refreshPtr_ + rowsPerRef_;
     refreshPtr_ = hi >= org_.rows ? 0 : hi;
 
-    // Restore every tracked row within the refreshed stripe.  Only
-    // rows with dose or retention history need attention.
-    std::vector<std::pair<int, int>> to_restore;
-    for (const auto &[b, r] : fault_.disturbedRows()) {
-        if (r >= lo && r < hi)
-            to_restore.emplace_back(b, r);
+    // Restore, in (bank, row) order, every row of the refreshed stripe
+    // that holds data or carries dose; untouched rows have nothing to
+    // restore.
+    const int end = std::min(hi, org_.rows);
+    for (int b = 0; b < int(banks_.size()); ++b) {
+        for (int r = lo; r < end; ++r) {
+            const RowData *rd = data_.find(b, r);
+            if ((rd && rd->present) || !fault_.dose(b, r).empty())
+                restoreRow(b, r, now);
+        }
     }
-    for (const auto &[k, rd] : data_) {
-        (void)rd;
-        const int b = int(k >> 32);
-        const int r = int(std::uint32_t(k));
-        if (r >= lo && r < hi)
-            to_restore.emplace_back(b, r);
-    }
-    std::sort(to_restore.begin(), to_restore.end());
-    to_restore.erase(std::unique(to_restore.begin(), to_restore.end()),
-                     to_restore.end());
-    for (const auto &[b, r] : to_restore)
-        restoreRow(b, r, now);
 }
 
 void
@@ -125,41 +126,53 @@ Chip::refreshRow(int b, int row, Time now)
 void
 Chip::fillRow(int b, int row, std::uint8_t fill, Time now)
 {
-    RowData &rd = data_[key(b, row)];
+    RowData &rd = data_.at(b, row);
     rd.fill = fill;
-    rd.overrides.clear();
+    rd.present = true;
+    if (rd.flipped) {
+        flips_.erase(packRowKey(b, row));
+        rd.flipped = false;
+    }
     fault_.onRestore(b, row, now);
 }
 
 std::uint8_t
 Chip::rowFill(int b, int row) const
 {
-    auto it = data_.find(key(b, row));
-    return it != data_.end() ? it->second.fill : 0x00;
+    const RowData *rd = data_.find(b, row);
+    return rd ? rd->fill : 0x00;
 }
 
 std::uint8_t
 Chip::readByte(int b, int row, int byte_idx) const
 {
-    auto it = data_.find(key(b, row));
-    if (it == data_.end())
+    const RowData *rd = data_.find(b, row);
+    if (!rd)
         return 0x00;
-    auto ov = it->second.overrides.find(byte_idx);
-    return ov != it->second.overrides.end() ? ov->second
-                                            : it->second.fill;
+    const Overrides &ovr = overrides(rd, b, row);
+    auto ov = ovr.find(byte_idx);
+    return ov != ovr.end() ? ov->second : rd->fill;
+}
+
+const Chip::Overrides &
+Chip::overrides(const RowData *rd, int b, int row) const
+{
+    return rd && rd->flipped ? flips_.at(packRowKey(b, row))
+                             : kNoOverrides;
 }
 
 void
 Chip::materializeRowInto(int b, int row, Time now, bool full_scan,
                          std::vector<FlipRecord> &out)
 {
-    RowData &rd = data_[key(b, row)];
+    RowData &rd = data_.at(b, row);
+    rd.present = true;
 
     RowContext ctx;
     DoseState dose = fault_.dose(b, row);
     ctx.dose = &dose;
     ctx.victimFill = rd.fill;
-    ctx.victimOverrides = &rd.overrides;
+    ctx.victimOverrides = &overrides(&rd, b, row);
     ctx.aggrFill[0] = row > 0 ? rowFill(b, row - 1) : 0x00;
     ctx.aggrFill[1] = row + 1 < org_.rows ? rowFill(b, row + 1) : 0x00;
     ctx.retentionSeconds = fault_.retentionSeconds(b, row, now);
@@ -170,13 +183,17 @@ Chip::materializeRowInto(int b, int row, Time now, bool full_scan,
     fault_.cells().evaluateInto(b, row, ctx, full_scan,
                                 fault_.temperature(), out);
 
-    for (std::size_t i = first; i < out.size(); ++i) {
-        const FlipRecord &f = out[i];
-        const int byte_idx = f.bit >> 3;
-        auto ov = rd.overrides.find(byte_idx);
-        std::uint8_t cur = ov != rd.overrides.end() ? ov->second : rd.fill;
-        cur = std::uint8_t(cur ^ (1u << (f.bit & 7)));
-        rd.overrides[byte_idx] = cur;
+    if (out.size() > first) {
+        Overrides &ovr = flips_[packRowKey(b, row)];
+        rd.flipped = true;
+        for (std::size_t i = first; i < out.size(); ++i) {
+            const FlipRecord &f = out[i];
+            const int byte_idx = f.bit >> 3;
+            auto ov = ovr.find(byte_idx);
+            std::uint8_t cur = ov != ovr.end() ? ov->second : rd.fill;
+            cur = std::uint8_t(cur ^ (1u << (f.bit & 7)));
+            ovr[byte_idx] = cur;
+        }
     }
 
     fault_.onRestore(b, row, now);
@@ -186,15 +203,13 @@ void
 Chip::peekRowInto(int b, int row, Time now, bool full_scan,
                   std::vector<FlipRecord> &out) const
 {
-    static const std::unordered_map<int, std::uint8_t> no_overrides;
-    auto it = data_.find(key(b, row));
+    const RowData *rd = data_.find(b, row);
 
     RowContext ctx;
     DoseState dose = fault_.dose(b, row);
     ctx.dose = &dose;
-    ctx.victimFill = it != data_.end() ? it->second.fill : 0x00;
-    ctx.victimOverrides =
-        it != data_.end() ? &it->second.overrides : &no_overrides;
+    ctx.victimFill = rd ? rd->fill : 0x00;
+    ctx.victimOverrides = &overrides(rd, b, row);
     ctx.aggrFill[0] = row > 0 ? rowFill(b, row - 1) : 0x00;
     ctx.aggrFill[1] = row + 1 < org_.rows ? rowFill(b, row + 1) : 0x00;
     ctx.retentionSeconds = fault_.retentionSeconds(b, row, now);
@@ -233,11 +248,9 @@ std::vector<int>
 Chip::storedFlipBits(int b, int row) const
 {
     std::vector<int> bits;
-    auto it = data_.find(key(b, row));
-    if (it == data_.end())
-        return bits;
-    for (const auto &[byte_idx, value] : it->second.overrides) {
-        const std::uint8_t diff = value ^ it->second.fill;
+    const RowData *rd = data_.find(b, row);
+    for (const auto &[byte_idx, value] : overrides(rd, b, row)) {
+        const std::uint8_t diff = value ^ rd->fill;
         for (int i = 0; i < 8; ++i) {
             if (diff & (1u << i))
                 bits.push_back(byte_idx * 8 + i);
@@ -252,7 +265,8 @@ Chip::reset()
 {
     for (auto &bk : banks_)
         bk.reset();
-    data_.clear();
+    data_.reset();
+    flips_.clear();
     fault_.reset();
     refreshPtr_ = 0;
 }

@@ -7,12 +7,13 @@
  * dram::RowScrambler first, mirroring the paper's reverse-engineering
  * methodology (section 3.2).
  *
- * Data is stored as a fill byte per row plus sparse byte overrides, so
- * pattern-filled characterization rows cost O(1) and bitflips are
- * recorded as overrides.  Bitflips "materialize" whenever a row's
- * charge is restored (refresh, own activation, write) or when the
- * harness inspects the row; the accumulated dose is evaluated against
- * the cell model at that point and then cleared.
+ * Data is stored as a fill byte per row, in a paged RowTable, plus
+ * sparse byte overrides for the rows that have latched flips, so
+ * pattern-filled characterization rows cost O(1) and an activation or
+ * a REF finds its rows without hashing.  Bitflips "materialize"
+ * whenever a row's charge is restored (refresh, own activation,
+ * write) or when the harness inspects the row; the accumulated dose
+ * is evaluated against the cell model at that point and then cleared.
  */
 
 #ifndef ROWPRESS_DEVICE_CHIP_H
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "device/fault_model.h"
+#include "device/row_table.h"
 #include "dram/bank.h"
 #include "dram/timing.h"
 
@@ -117,17 +119,18 @@ class Chip
     void reset();
 
   private:
+    using Overrides = std::unordered_map<int, std::uint8_t>;
+
     struct RowData
     {
         std::uint8_t fill = 0x00;
-        std::unordered_map<int, std::uint8_t> overrides;
+        /** Filled or inspected: REF restores the row even without dose. */
+        bool present = false;
+        bool flipped = false; ///< Has latched flips in flips_.
     };
 
-    static std::uint64_t
-    key(int b, int row)
-    {
-        return packRowKey(b, row);
-    }
+    /** Latched flips of a row (empty if it has none). */
+    const Overrides &overrides(const RowData *rd, int b, int row) const;
 
     /**
      * Restore a row's charge; evaluates flips first unless the
@@ -140,7 +143,9 @@ class Chip
     FaultModel fault_;
 
     std::vector<dram::Bank> banks_;
-    std::unordered_map<std::uint64_t, RowData> data_;
+    RowTable<RowData> data_;
+    /** Byte overrides of the rows with flips, keyed by packRowKey. */
+    std::unordered_map<std::uint64_t, Overrides> flips_;
 
     int refreshPtr_ = 0;
     int rowsPerRef_ = 1;

@@ -1,18 +1,23 @@
 #include "device/fault_model.h"
 
+#include <algorithm>
+
 namespace rp::device {
 
 FaultModel::FaultModel(const DieConfig &die, const dram::Organization &org,
                        std::uint64_t seed)
     : org_(org),
-      cells_(die, org.columns * org.blockBytes * 8, seed)
+      cells_(die, org.columns * org.blockBytes * 8, seed),
+      rows_(org.totalBanks(), org.rows)
 {
 }
 
 DoseState &
 FaultModel::state(int bank, int row)
 {
-    return doses_[key(bank, row)];
+    RowState &s = rows_.at(bank, row);
+    s.dosed = true;
+    return s.dose;
 }
 
 void
@@ -21,8 +26,9 @@ FaultModel::onActivate(int bank, int row, Time now)
     // Hammer weight depends on how long this aggressor rested since it
     // was last closed (charge recombination; paper section 5.4).
     Time t_off = -1;
-    if (auto it = lastClose_.find(key(bank, row)); it != lastClose_.end())
-        t_off = now - it->second;
+    if (const RowState *s = rows_.find(bank, row);
+        s && s->lastClose != kNever)
+        t_off = now - s->lastClose;
 
     const double w = cells_.hammerOffWeight(t_off) *
                      cells_.hammerTempFactor(temperatureC_);
@@ -40,7 +46,7 @@ FaultModel::onActivate(int bank, int row, Time now)
             const double inc = w * atten[d];
             state(bank, victim).hammer[side] += inc;
             if (opRecorder_)
-                opRecorder_->push_back({key(bank, victim), side, inc});
+                opRecorder_->push_back({doseKey(bank, victim), side, inc});
         }
     }
 }
@@ -48,7 +54,7 @@ FaultModel::onActivate(int bank, int row, Time now)
 void
 FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
 {
-    lastClose_[key(bank, row)] = close_at;
+    rows_.at(bank, row).lastClose = close_at;
 
     // The press-onset transient of each open interval contributes no
     // passing-gate stress (CellModelParams::pressOnset).
@@ -70,7 +76,7 @@ FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
             state(bank, victim).press[side] += inc;
             if (opRecorder_)
                 opRecorder_->push_back(
-                    {key(bank, victim), 2 + side, inc});
+                    {doseKey(bank, victim), 2 + side, inc});
         }
     }
 }
@@ -78,74 +84,84 @@ FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
 void
 FaultModel::onRestore(int bank, int row, Time now)
 {
-    doses_.erase(key(bank, row));
-    lastRestore_[key(bank, row)] = now;
+    RowState &s = rows_.at(bank, row);
+    s.dose = DoseState{};
+    s.dosed = false;
+    s.lastRestore = now;
 }
 
 const DoseState &
 FaultModel::dose(int bank, int row) const
 {
     static const DoseState zero;
-    auto it = doses_.find(key(bank, row));
-    return it != doses_.end() ? it->second : zero;
+    const RowState *s = rows_.find(bank, row);
+    return s ? s->dose : zero;
 }
 
 double
 FaultModel::retentionSeconds(int bank, int row, Time now) const
 {
     Time since = now;
-    if (auto it = lastRestore_.find(key(bank, row));
-        it != lastRestore_.end())
-        since = now - it->second;
+    if (const RowState *s = rows_.find(bank, row);
+        s && s->lastRestore != kNever)
+        since = now - s->lastRestore;
     if (since <= 0)
         return 0.0;
     return toSec(since) * cells_.retentionTempFactor(temperatureC_);
 }
 
-std::vector<std::pair<int, int>>
-FaultModel::disturbedRows() const
-{
-    std::vector<std::pair<int, int>> rows;
-    rows.reserve(doses_.size());
-    for (const auto &[k, v] : doses_) {
-        if (!v.empty())
-            rows.emplace_back(int(k >> 32), int(std::uint32_t(k)));
-    }
-    return rows;
-}
-
 void
 FaultModel::reset()
 {
-    doses_.clear();
-    lastClose_.clear();
-    lastRestore_.clear();
+    rows_.reset();
+}
+
+FaultModel::DoseSnapshot
+FaultModel::snapshotDoses() const
+{
+    DoseSnapshot snap;
+    rows_.forEach([&snap](int bank, int row, const RowState &s) {
+        if (s.dosed)
+            snap.emplace_back(doseKey(bank, row), s.dose);
+    });
+    std::sort(snap.begin(), snap.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    return snap;
 }
 
 void
-FaultModel::scaleDoseDelta(const DoseMap &before, double factor)
+FaultModel::scaleDoseDelta(const DoseSnapshot &before, double factor)
 {
     if (factor <= 0.0)
         return;
-    for (auto &[k, cur] : doses_) {
+    rows_.forEach([&](int bank, int row, RowState &s) {
+        if (!s.dosed)
+            return;
+        const std::uint64_t k = doseKey(bank, row);
         DoseState prev;
-        if (auto it = before.find(k); it != before.end())
+        auto it = std::lower_bound(
+            before.begin(), before.end(), k,
+            [](const auto &e, std::uint64_t key) { return e.first < key; });
+        if (it != before.end() && it->first == k)
             prev = it->second;
-        for (int s = 0; s < 2; ++s) {
-            cur.hammer[s] += (cur.hammer[s] - prev.hammer[s]) * factor;
-            cur.press[s] += (cur.press[s] - prev.press[s]) * factor;
+        DoseState &cur = s.dose;
+        for (int i = 0; i < 2; ++i) {
+            cur.hammer[i] += (cur.hammer[i] - prev.hammer[i]) * factor;
+            cur.press[i] += (cur.press[i] - prev.press[i]) * factor;
         }
-    }
+    });
 }
 
 void
 FaultModel::shiftRowHistory(int bank, int row, Time delta)
 {
-    if (auto it = lastClose_.find(key(bank, row)); it != lastClose_.end())
-        it->second += delta;
-    if (auto it = lastRestore_.find(key(bank, row));
-        it != lastRestore_.end())
-        it->second += delta;
+    RowState *s = rows_.find(bank, row);
+    if (!s)
+        return;
+    if (s->lastClose != kNever)
+        s->lastClose += delta;
+    if (s->lastRestore != kNever)
+        s->lastRestore += delta;
 }
 
 } // namespace rp::device

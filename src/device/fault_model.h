@@ -11,17 +11,23 @@
  *  - the aggressor's preceding off-time (hammer recovery weight,
  *    paper section 5.4);
  *  - row-distance attenuation (victims up to +/-3 rows).
+ *
+ * Per-row state (dose, last close, last restore) lives in one record
+ * of a paged RowTable, so an activation costs indexed loads and no
+ * allocation once its rows' page exists.
  */
 
 #ifndef ROWPRESS_DEVICE_FAULT_MODEL_H
 #define ROWPRESS_DEVICE_FAULT_MODEL_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
 #include "device/cell_model.h"
+#include "device/row_table.h"
 #include "dram/address.h"
 
 namespace rp::device {
@@ -62,18 +68,22 @@ class FaultModel
     /** Temperature-scaled unrefreshed seconds of a row at @p now. */
     double retentionSeconds(int bank, int row, Time now) const;
 
-    /** Rows that currently carry non-zero dose (bank, row pairs). */
-    std::vector<std::pair<int, int>> disturbedRows() const;
-
     /** Clear all dose state (platform reset). */
     void reset();
 
+    /** Row-table pages allocated (lookups of untouched rows add none). */
+    std::size_t touchedPages() const { return rows_.touchedPages(); }
+
     // --- loop fast-forward support (bender::TestPlatform) ---
 
-    using DoseMap = std::unordered_map<std::uint64_t, DoseState>;
+    /**
+     * Doses of the rows dosed since their last restore, sorted by
+     * doseKey.
+     */
+    using DoseSnapshot = std::vector<std::pair<std::uint64_t, DoseState>>;
 
     /**
-     * One elementary dose accumulation: `doses_[key].<comp> += value`.
+     * One elementary dose accumulation: `dose(key).<comp> += value`.
      * comp 0/1 = hammer side 0/1, comp 2/3 = press side 0/1.  Recorded
      * traces let the chr::AttemptOracle replay an attempt's exact
      * floating-point accumulation sequence without re-executing the
@@ -86,11 +96,11 @@ class FaultModel
         double value;
     };
 
-    /** The dose-map key of (bank, row) (= device::packRowKey). */
+    /** The key of (bank, row) in DoseOp / DoseSnapshot (packRowKey). */
     static std::uint64_t
     doseKey(int bank, int row)
     {
-        return key(bank, row);
+        return packRowKey(bank, row);
     }
 
     /**
@@ -101,13 +111,15 @@ class FaultModel
     void setDoseOpRecorder(std::vector<DoseOp> *rec) { opRecorder_ = rec; }
 
     /** Snapshot of all current doses. */
-    DoseMap snapshotDoses() const { return doses_; }
+    DoseSnapshot snapshotDoses() const;
 
     /**
      * Replay the dose growth between @p before and the current state
      * an additional @p factor times (steady-state loop extrapolation).
+     * Only rows dosed since their last restore grow; a row restored
+     * after the snapshot and not dosed since stays clear.
      */
-    void scaleDoseDelta(const DoseMap &before, double factor);
+    void scaleDoseDelta(const DoseSnapshot &before, double factor);
 
     /**
      * Advance a row's close/restore history by @p delta (applied to
@@ -117,11 +129,19 @@ class FaultModel
     void shiftRowHistory(int bank, int row, Time delta);
 
   private:
-    static std::uint64_t
-    key(int bank, int row)
+    /** "Never happened" for the close and restore clocks (0 is a
+     *  valid time: a row filled at t = 0 was restored then). */
+    static constexpr Time kNever = std::numeric_limits<Time>::min();
+
+    struct RowState
     {
-        return packRowKey(bank, row);
-    }
+        DoseState dose;
+        Time lastClose = kNever;   ///< For tAggOFF weighting.
+        Time lastRestore = kNever; ///< For retention.
+        /** Dose deposited since the last restore (even a zero one):
+         *  the rows scaleDoseDelta extrapolates. */
+        bool dosed = false;
+    };
 
     DoseState &state(int bank, int row);
 
@@ -130,11 +150,7 @@ class FaultModel
     double temperatureC_ = 50.0;
     double evalNoiseSigma_ = 0.05;
 
-    std::unordered_map<std::uint64_t, DoseState> doses_;
-    /** Last close time per aggressor row (for tAggOFF weighting). */
-    std::unordered_map<std::uint64_t, Time> lastClose_;
-    /** Last restore time per row (for retention). */
-    std::unordered_map<std::uint64_t, Time> lastRestore_;
+    RowTable<RowState> rows_;
 
     std::vector<DoseOp> *opRecorder_ = nullptr;
 };

@@ -52,8 +52,9 @@ namespace rp::device {
 
 /**
  * Canonical (bank, row) -> 64-bit key packing, shared by the
- * threshold store, the fault model's dose map, and the chip's row
- * data so the three can never diverge.
+ * threshold store, the fault model's dose traces and snapshots, the
+ * chip's flip overrides, and the demo controller's tracked rows, so
+ * they can never diverge.
  */
 constexpr std::uint64_t
 packRowKey(int bank, int row)

@@ -20,18 +20,18 @@ MemCtrl::MemCtrl(device::Chip &chip, mitigation::Mitigation *mitigation)
 void
 MemCtrl::trackRow(int bank, int row)
 {
-    tracked_.insert((std::uint64_t(std::uint32_t(bank)) << 32) |
-                    std::uint32_t(row));
+    const std::uint64_t key = device::packRowKey(bank, row);
+    auto it = std::lower_bound(tracked_.begin(), tracked_.end(), key);
+    if (it == tracked_.end() || *it != key)
+        tracked_.insert(it, key);
 }
 
 void
 MemCtrl::recordInterval(int bank, const dram::Bank::OpenInterval &iv)
 {
     ++pres_;
-    const std::uint64_t key =
-        (std::uint64_t(std::uint32_t(bank)) << 32) |
-        std::uint32_t(iv.row);
-    if (tracked_.count(key)) {
+    if (std::binary_search(tracked_.begin(), tracked_.end(),
+                           device::packRowKey(bank, iv.row))) {
         trackedOpenTime_ += iv.onTime();
         ++trackedPres_;
     }

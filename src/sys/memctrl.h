@@ -13,7 +13,7 @@
 #ifndef ROWPRESS_SYS_MEMCTRL_H
 #define ROWPRESS_SYS_MEMCTRL_H
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "device/chip.h"
@@ -63,7 +63,8 @@ class MemCtrl
     std::uint64_t refs_ = 0;
     std::uint64_t acts_ = 0;
     std::uint64_t pres_ = 0;
-    std::unordered_set<std::uint64_t> tracked_;
+    /** Tracked rows as sorted packRowKey values (a few per demo). */
+    std::vector<std::uint64_t> tracked_;
     Time trackedOpenTime_ = 0;
     std::uint64_t trackedPres_ = 0;
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/stats.h"
 #include "device/chip.h"
@@ -311,6 +312,67 @@ TEST(FaultModel, SnapshotScaleReplaysLinearGrowth)
     EXPECT_NEAR(fm.dose(0, 101).press[0], base + 10.0 * one_iter, 1e-3);
 }
 
+TEST(FaultModel, ScaleLeavesRowsRestoredAfterTheSnapshotAlone)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    fm.onActivate(0, 100, 0);
+    const double w = fm.dose(0, 99).hammer[1];
+    const auto before = fm.snapshotDoses();
+    fm.onActivate(0, 100, 1_us);
+    fm.onRestore(0, 101, 2_us); // restored, not dosed since
+    fm.scaleDoseDelta(before, 9.0);
+    // Without a "dosed since restore" mark the restored row would be
+    // extrapolated from its pre-restore snapshot and go negative.
+    EXPECT_TRUE(fm.dose(0, 101).empty());
+    // Rows dosed since the snapshot keep growing: 2w + 9 * w.
+    EXPECT_DOUBLE_EQ(fm.dose(0, 99).hammer[1], 11.0 * w);
+}
+
+TEST(FaultModel, UntouchedRowHasUnknownOffTime)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    const double temp = fm.cells().hammerTempFactor(fm.temperature());
+    // No close history: t_off = -1 (fully recovered).
+    fm.onActivate(0, 100, 10_ns);
+    EXPECT_EQ(fm.dose(0, 101).hammer[0],
+              fm.cells().hammerOffWeight(-1) * temp);
+    // A close at t = 0 is history like any other.
+    fm.onPrecharge(0, 200, 0, 0);
+    fm.onActivate(0, 200, 10_ns);
+    EXPECT_EQ(fm.dose(0, 201).hammer[0],
+              fm.cells().hammerOffWeight(10_ns) * temp);
+    EXPECT_LT(fm.cells().hammerOffWeight(10_ns),
+              fm.cells().hammerOffWeight(-1));
+}
+
+TEST(FaultModel, HistoryShiftMovesARestoreAtTimeZero)
+{
+    Chip chip(dieS8GbB(), smallOrg(), dram::benderTiming(), 1);
+    const FaultModel &fm = chip.fault();
+    const double factor = fm.cells().retentionTempFactor(fm.temperature());
+    chip.fillRow(0, 50, 0xAA, 0); // restored at t = 0
+    chip.fault().shiftRowHistory(0, 50, 1_s);
+    EXPECT_DOUBLE_EQ(fm.retentionSeconds(0, 50, 3_s), 2.0 * factor);
+    // A never-restored row counts from t = 0; a shift cannot move it.
+    chip.fault().shiftRowHistory(0, 60, 1_s);
+    EXPECT_DOUBLE_EQ(fm.retentionSeconds(0, 60, 3_s), 3.0 * factor);
+}
+
+TEST(FaultModel, LookupsOfUntouchedRowsAllocateNothing)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    EXPECT_TRUE(fm.dose(3, 500).empty());
+    EXPECT_GT(fm.retentionSeconds(3, 500, 1_s), 0.0);
+    fm.shiftRowHistory(3, 500, 1_s);
+    // Out-of-range rows read as untouched too.
+    EXPECT_TRUE(fm.dose(0, -1).empty());
+    EXPECT_TRUE(fm.dose(0, smallOrg().rows).empty());
+    EXPECT_TRUE(fm.dose(smallOrg().totalBanks(), 0).empty());
+    EXPECT_EQ(fm.touchedPages(), 0u);
+    fm.onActivate(3, 500, 0);
+    EXPECT_GT(fm.touchedPages(), 0u);
+}
+
 TEST(Chip, FillReadAndFlipLatching)
 {
     Chip chip(dieS8GbB(), smallOrg(), dram::benderTiming(), 1);
@@ -353,6 +415,68 @@ TEST(Chip, RefreshStripeRestoresTrackedRows)
     ASSERT_FALSE(chip.fault().dose(0, 0).empty());
     chip.refresh(1_us); // stripe 0 covers row 0
     EXPECT_TRUE(chip.fault().dose(0, 0).empty());
+}
+
+TEST(Chip, RefreshRestoresAndLatchesARowWithDataButNoDose)
+{
+    dram::Organization org = smallOrg(); // 4096 rows / 8192 REFs
+    Chip chip(dieS8GbB(), org, dram::benderTiming(), 1);
+    chip.setTemperature(80.0);
+    chip.fillRow(0, 0, 0xFF, 0);
+    const Time now = 7200_s; // two hours unrefreshed at 80 C
+    ASSERT_TRUE(chip.fault().dose(0, 0).empty());
+    ASSERT_TRUE(chip.rowWouldFlip(0, 0, now));
+    chip.refresh(now); // stripe 0 covers row 0
+    EXPECT_FALSE(chip.storedFlipBits(0, 0).empty());
+    EXPECT_EQ(chip.fault().retentionSeconds(0, 0, now), 0.0);
+}
+
+/** Everything observable about rows 40..60 of bank 0 at @p now. */
+std::vector<double>
+observeRows(const Chip &chip, Time now)
+{
+    std::vector<double> seen;
+    for (int r = 40; r <= 60; ++r) {
+        seen.push_back(chip.rowFill(0, r));
+        for (int bit : chip.storedFlipBits(0, r))
+            seen.push_back(bit);
+        const DoseState &d = chip.fault().dose(0, r);
+        seen.insert(seen.end(), {d.hammer[0], d.hammer[1], d.press[0],
+                                 d.press[1]});
+        seen.push_back(chip.fault().retentionSeconds(0, r, now));
+    }
+    return seen;
+}
+
+/** Fill, press and hammer rows 50/51, latch 51's flips; observe. */
+std::vector<double>
+pressScenario(Chip &chip)
+{
+    chip.fillRow(0, 50, 0xAA, 0);
+    chip.fillRow(0, 51, 0xFF, 0);
+    chip.act(0, 50, 0);
+    chip.pre(0, 2_s);
+    chip.act(0, 50, 2_s + 100_ns);
+    chip.pre(0, 2_s + 200_ns);
+    chip.materializeRow(0, 51, 3_s);
+    return observeRows(chip, 3_s);
+}
+
+TEST(Chip, ResetThenReuseMatchesAFreshChip)
+{
+    Chip used(dieS8GbB(), smallOrg(), dram::benderTiming(), 1);
+    // Dirty rows the scenario never writes: data, flips, dose, close
+    // and restore history, an open bank.
+    used.fillRow(0, 45, 0xFF, 0);
+    used.fault().onPrecharge(0, 44, 0, 2_s);
+    ASSERT_FALSE(used.materializeRow(0, 45, 2_s).empty());
+    used.act(0, 55, 3_s);
+    used.reset();
+
+    Chip fresh(dieS8GbB(), smallOrg(), dram::benderTiming(), 1);
+    const auto expected = pressScenario(fresh);
+    ASSERT_FALSE(fresh.storedFlipBits(0, 51).empty());
+    EXPECT_EQ(pressScenario(used), expected);
 }
 
 TEST(Chip, EvalNoiseMakesNearThresholdFlipsStochastic)

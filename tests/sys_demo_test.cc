@@ -63,6 +63,36 @@ TEST(SysDemo, MoreReadsKeepRowOpenLonger)
     EXPECT_GT(rb.avgTAggOnNs, 5.0 * ra.avgTAggOnNs);
 }
 
+// Exact results of one flipping cell of each algorithm (the fig23
+// --scale 0.5 config at NUM_AGGR_ACTS = 4, NUM_READS = 16).  The
+// benchmark's realsystem digest covers only non-flipping cells, so
+// this pins the flip path: dose accumulation, TRR victim refreshes,
+// materialization, and the measured tAggON, compared exactly.
+TEST(SysDemo, GoldenResultAtFlippingConfig)
+{
+    DemoConfig cfg;
+    cfg.numAggrActs = 4;
+    cfg.numReads = 16;
+    cfg.numVictims = 5;
+    cfg.numIters = 8000;
+    cfg.seed = 3;
+
+    const DemoResult alg1 = runDemo(cfg);
+    EXPECT_EQ(alg1.totalBitflips, 20u);
+    EXPECT_EQ(alg1.rowsWithBitflips, 3);
+    EXPECT_EQ(alg1.aggressorActs, 2880000u);
+    EXPECT_EQ(alg1.targetedRefreshes, 39999u);
+    EXPECT_EQ(alg1.avgTAggOnNs, 0x1.ea5428f5c28f6p+8); // 490.32875
+
+    cfg.interleavedFlush = true; // Algorithm 2
+    const DemoResult alg2 = runDemo(cfg);
+    EXPECT_EQ(alg2.totalBitflips, 7u);
+    EXPECT_EQ(alg2.rowsWithBitflips, 1);
+    EXPECT_EQ(alg2.aggressorActs, 2880000u);
+    EXPECT_EQ(alg2.targetedRefreshes, 79999u);
+    EXPECT_EQ(alg2.avgTAggOnNs, 0x1.852a147ae147bp+9); // 778.32875
+}
+
 TEST(SysDemo, LatencyProbeShowsRowOpenGap)
 {
     auto probe = rowOpenLatencyProbe(5000);

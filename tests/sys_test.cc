@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "dram/timing.h"
 #include "mitigation/trr.h"
 #include "sys/cache.h"
@@ -46,6 +50,129 @@ TEST(Cache, LoadHitMissAndFlush)
     EXPECT_EQ(cache.residentLines(), 1u);
     cache.clear();
     EXPECT_EQ(cache.residentLines(), 0u);
+}
+
+TEST(Cache, MissThenHit)
+{
+    CacheModel cache;
+    EXPECT_FALSE(cache.load(42));
+    EXPECT_TRUE(cache.load(42));
+    EXPECT_TRUE(cache.load(42));
+    EXPECT_EQ(cache.residentLines(), 1u);
+    // Address 0 and the all-ones address are ordinary lines.
+    EXPECT_FALSE(cache.load(0));
+    EXPECT_FALSE(cache.load(~std::uint64_t(0)));
+    EXPECT_TRUE(cache.load(0));
+    EXPECT_TRUE(cache.load(~std::uint64_t(0)));
+    EXPECT_EQ(cache.residentLines(), 3u);
+}
+
+TEST(Cache, FlushOfResidentAndAbsentLines)
+{
+    CacheModel cache;
+    cache.load(7);
+    cache.load(8);
+    cache.clflush(7);
+    EXPECT_EQ(cache.residentLines(), 1u);
+    cache.clflush(7);    // already gone
+    cache.clflush(1234); // never loaded
+    cache.clflush(~std::uint64_t(0));
+    EXPECT_EQ(cache.residentLines(), 1u);
+    EXPECT_TRUE(cache.load(8));
+    EXPECT_FALSE(cache.load(7));
+}
+
+TEST(Cache, ClearDropsEveryLine)
+{
+    CacheModel cache;
+    for (std::uint64_t a = 0; a < 20; ++a)
+        cache.load(a << 6);
+    cache.clear();
+    EXPECT_EQ(cache.residentLines(), 0u);
+    for (std::uint64_t a = 0; a < 20; ++a)
+        EXPECT_FALSE(cache.load(a << 6));
+}
+
+TEST(Cache, GrowsPastItsInitialCapacity)
+{
+    CacheModel cache;
+    const std::uint64_t n = 10 << CacheModel::kInitialBits;
+    for (std::uint64_t a = 0; a < n; ++a)
+        EXPECT_FALSE(cache.load(a * 64));
+    EXPECT_EQ(cache.residentLines(), n);
+    for (std::uint64_t a = 0; a < n; ++a)
+        EXPECT_TRUE(cache.load(a * 64));
+}
+
+/** @p count addresses whose home slot is @p slot in a new table. */
+std::vector<std::uint64_t>
+homedAt(std::size_t slot, int count, std::uint64_t from = 1)
+{
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t a = from; int(out.size()) < count; ++a) {
+        if (CacheModel::homeSlot(a, CacheModel::kInitialBits) == slot)
+            out.push_back(a);
+    }
+    return out;
+}
+
+TEST(Cache, FlushFromTheMiddleOfAProbeChainKeepsTheRestReachable)
+{
+    // One probe run of lines homed at three consecutive slots, loaded
+    // round-robin so that some lines sit in their own home slot between
+    // displaced ones; the second run wraps from the last slot to 0.
+    const std::size_t last = (std::size_t(1) << CacheModel::kInitialBits) - 1;
+    for (std::size_t base : {std::size_t(5), last - 1}) {
+        const std::vector<std::uint64_t> homed[3] = {
+            homedAt(base, 4), homedAt((base + 1) & last, 2),
+            homedAt((base + 2) & last, 2)};
+        std::vector<std::uint64_t> lines;
+        for (std::size_t k = 0; k < 4; ++k) {
+            for (const auto &h : homed) {
+                if (k < h.size())
+                    lines.push_back(h[k]);
+            }
+        }
+
+        for (std::size_t victim = 0; victim < lines.size(); ++victim) {
+            CacheModel cache;
+            for (std::uint64_t a : lines)
+                ASSERT_FALSE(cache.load(a));
+            cache.clflush(lines[victim]);
+            EXPECT_EQ(cache.residentLines(), lines.size() - 1);
+            for (std::size_t i = 0; i < lines.size(); ++i) {
+                if (i == victim)
+                    continue;
+                EXPECT_TRUE(cache.load(lines[i]))
+                    << "base " << base << " flushed " << victim << " lost "
+                    << i;
+            }
+            EXPECT_FALSE(cache.load(lines[victim]));
+        }
+    }
+}
+
+TEST(Cache, AgreesWithAReferenceSetUnderRandomLoadsAndFlushes)
+{
+    // A small address universe keeps collisions and deletions common.
+    CacheModel cache;
+    std::set<std::uint64_t> ref;
+    std::uint64_t x = 0x2545F4914F6CDD1Dull;
+    for (int op = 0; op < 20000; ++op) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const std::uint64_t line = (x >> 8) % 96;
+        if (x & 1) {
+            EXPECT_EQ(cache.load(line), !ref.insert(line).second);
+        } else {
+            cache.clflush(line);
+            ref.erase(line);
+        }
+        ASSERT_EQ(cache.residentLines(), ref.size());
+    }
+    for (std::uint64_t line = 0; line < 96; ++line)
+        EXPECT_EQ(cache.load(line), ref.count(line) == 1);
 }
 
 TEST(Trr, RecencySamplerCatchesLastActivatedRows)
