@@ -48,8 +48,19 @@ class Chip
 
     // --- timed command interface ---
 
-    dram::Bank &bank(int b);
-    const dram::Bank &bank(int b) const;
+    dram::Bank &
+    bank(int b)
+    {
+        if (unsigned(b) >= banks_.size())
+            bankOutOfRange(b);
+        return banks_[std::size_t(b)];
+    }
+
+    const dram::Bank &
+    bank(int b) const
+    {
+        return const_cast<Chip *>(this)->bank(b);
+    }
 
     /** Activate @p row; restores the row's own charge. */
     void act(int b, int row, Time now);
@@ -118,6 +129,64 @@ class Chip
     /** Reset banks, data, and dose state. */
     void reset();
 
+    // --- loop fast-forward support (sys::runDemo) ---
+
+    /**
+     * Row-level record of a stretch of commands (one period of a
+     * loop): every dose accumulation, explicit restore (an ACT's or
+     * refreshRow's), close and REF, in issue order.  A REF's stripe
+     * restores are not recorded; fastForward recomputes them from
+     * the refresh pointer.
+     */
+    struct PeriodLog
+    {
+        enum class Kind : std::uint8_t
+        {
+            Restore,
+            Close,
+            Ref,
+        };
+
+        struct Event
+        {
+            Kind kind;
+            int bank; ///< Unused for Ref.
+            int row;  ///< Unused for Ref.
+            Time at;
+            std::size_t ops; ///< Dose accumulations issued before it.
+        };
+
+        std::vector<FaultModel::DoseOp> ops;
+        std::vector<Event> events;
+    };
+
+    /**
+     * Record the following act / pre / refresh / refreshRow commands
+     * into @p log (cleared first); nullptr stops recording.  Uses the
+     * fault model's dose-op recorder while on.
+     */
+    void setPeriodLog(PeriodLog *log);
+
+    /**
+     * Advance the rows as if the period recorded in @p log ran @p k
+     * more times, repetition j shifted by j * @p period from the
+     * recorded one.  Exact (the same dose, flip and restore state as
+     * issuing those commands) when the caller guarantees that the
+     * commands do repeat so and that the recorded period already
+     * repeated the one before it, so its dose increments recur.
+     *
+     * Each row is independent here: its flips depend only on its own
+     * doses and restores, its neighbors' fill bytes, the temperature
+     * and the time of the restore.  So every row replays its own
+     * per-period sequence of dose additions (in order, so every sum
+     * is bit-identical) and restores (through the same gate as
+     * restoreRow, with the cannot-flip answer reused while its inputs
+     * stay bitwise equal), and every REF's stripe is applied at its
+     * exact time to the rows it covers.  Bank timing is the caller's
+     * (dram::Bank::shift).
+     */
+    void fastForward(const PeriodLog &log, Time period, std::int64_t k);
+
   private:
     using Overrides = std::unordered_map<int, std::uint8_t>;
 
@@ -132,11 +201,26 @@ class Chip
     /** Latched flips of a row (empty if it has none). */
     const Overrides &overrides(const RowData *rd, int b, int row) const;
 
+    [[noreturn, gnu::cold]] static void bankOutOfRange(int b);
+
     /**
      * Restore a row's charge; evaluates flips first unless the
      * accumulated dose is provably below every cell threshold.
      */
     void restoreRow(int b, int row, Time now);
+
+    /**
+     * restoreRow's gate: false proves that restoring a row with
+     * @p dose after @p retention_seconds latches no flip.
+     */
+    bool restoreMayFlip(int b, int row, const DoseState &dose,
+                        double retention_seconds) const;
+
+    /**
+     * A REF's restore of one stripe row: rows holding data or dose.
+     * Returns whether the row was restored.
+     */
+    bool refreshStripeRow(int b, int row, Time now);
 
     dram::Organization org_;
     dram::TimingParams timing_;
@@ -149,6 +233,8 @@ class Chip
 
     int refreshPtr_ = 0;
     int rowsPerRef_ = 1;
+
+    PeriodLog *log_ = nullptr;
 };
 
 } // namespace rp::device

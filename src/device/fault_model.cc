@@ -13,7 +13,7 @@ FaultModel::FaultModel(const DieConfig &die, const dram::Organization &org,
 }
 
 DoseState &
-FaultModel::state(int bank, int row)
+FaultModel::accumulate(int bank, int row)
 {
     RowState &s = rows_.at(bank, row);
     s.dosed = true;
@@ -44,7 +44,7 @@ FaultModel::onActivate(int bank, int row, Time now)
             // victim.
             const int side = sign > 0 ? 0 : 1;
             const double inc = w * atten[d];
-            state(bank, victim).hammer[side] += inc;
+            accumulate(bank, victim).hammer[side] += inc;
             if (opRecorder_)
                 opRecorder_->push_back({doseKey(bank, victim), side, inc});
         }
@@ -54,7 +54,7 @@ FaultModel::onActivate(int bank, int row, Time now)
 void
 FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
 {
-    rows_.at(bank, row).lastClose = close_at;
+    closeRow(bank, row, close_at);
 
     // The press-onset transient of each open interval contributes no
     // passing-gate stress (CellModelParams::pressOnset).
@@ -73,12 +73,18 @@ FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
                 continue;
             const int side = sign > 0 ? 0 : 1;
             const double inc = scaled * atten[d];
-            state(bank, victim).press[side] += inc;
+            accumulate(bank, victim).press[side] += inc;
             if (opRecorder_)
                 opRecorder_->push_back(
                     {doseKey(bank, victim), 2 + side, inc});
         }
     }
+}
+
+void
+FaultModel::closeRow(int bank, int row, Time at)
+{
+    rows_.at(bank, row).lastClose = at;
 }
 
 void

@@ -65,6 +65,16 @@ class FaultModel
     /** Dose state of a row (a zero state if it was never disturbed). */
     const DoseState &dose(int bank, int row) const;
 
+    /**
+     * The row's dose, for adding to in place; marks the row dosed
+     * since its last restore.  The reference stays valid until
+     * reset().
+     */
+    DoseState &accumulate(int bank, int row);
+
+    /** The row closed at @p at (tAggOFF clock) without depositing dose. */
+    void closeRow(int bank, int row, Time at);
+
     /** Temperature-scaled unrefreshed seconds of a row at @p now. */
     double retentionSeconds(int bank, int row, Time now) const;
 
@@ -142,8 +152,6 @@ class FaultModel
          *  the rows scaleDoseDelta extrapolates. */
         bool dosed = false;
     };
-
-    DoseState &state(int bank, int row);
 
     dram::Organization org_;
     CellModel cells_;

@@ -106,6 +106,33 @@ Bank::ref(Time now)
     earliestAct_ = now + timing_->tRFC;
 }
 
+bool
+Bank::repeats(const Bank &earlier, Time delta) const
+{
+    if (open_ != earlier.open_ ||
+        earliestAct_ != earlier.earliestAct_ + delta)
+        return false;
+    if (!open_)
+        return true;
+    return openRow_ == earlier.openRow_ &&
+           openedAt_ == earlier.openedAt_ + delta &&
+           earliestPre_ == earlier.earliestPre_ + delta &&
+           earliestRead_ == earlier.earliestRead_ + delta &&
+           earliestWrite_ == earlier.earliestWrite_ + delta;
+}
+
+void
+Bank::shift(Time delta)
+{
+    earliestAct_ += delta;
+    if (!open_)
+        return;
+    openedAt_ += delta;
+    earliestPre_ += delta;
+    earliestRead_ += delta;
+    earliestWrite_ += delta;
+}
+
 void
 Bank::reset()
 {

@@ -70,6 +70,17 @@ class Bank
     /** Forget all timing history (used when resetting a platform). */
     void reset();
 
+    /**
+     * True if this bank is @p earlier shifted by @p delta: it will
+     * accept the same commands @p delta later.  Only live state
+     * counts; a closed bank's open time and read, write and PRE
+     * deadlines are rewritten by its next ACT.
+     */
+    bool repeats(const Bank &earlier, Time delta) const;
+
+    /** Shift the live timing state by @p delta (loop fast-forward). */
+    void shift(Time delta);
+
   private:
     const TimingParams *timing_;
 

@@ -60,18 +60,41 @@ class Trr : public Mitigation
     /** Number of per-bank REFs that refreshed at least one victim. */
     std::uint64_t targetedRefreshes() const { return targeted_; }
 
-  private:
+    /** Count @p n targeted refreshes a fast-forwarded stretch issued. */
+    void creditTargetedRefreshes(std::uint64_t n) { targeted_ += n; }
+
     struct Entry
     {
         int row = -1;
         std::uint32_t count = 0;
+
+        bool
+        operator==(const Entry &o) const
+        {
+            return row == o.row && count == o.count;
+        }
     };
 
+    /** One bank's sampler and counter table. */
     struct Bank
     {
         std::vector<Entry> table;
         std::vector<int> recent; ///< Latest distinct rows, newest first.
+
+        bool
+        operator==(const Bank &o) const
+        {
+            return table == o.table && recent == o.recent;
+        }
     };
+
+    /**
+     * Every bank's sampler and table: two equal states make the same
+     * decisions from then on, given the same ACTs and REFs.
+     */
+    const std::vector<Bank> &state() const { return banks_; }
+
+  private:
 
     void appendNeighbors(int row, std::vector<int> &out) const;
 

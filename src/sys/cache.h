@@ -96,6 +96,15 @@ class CacheModel
         return used_ + (emptyKeyResident_ ? 1 : 0);
     }
 
+    /** Same resident lines in the same slots. */
+    bool
+    operator==(const CacheModel &o) const
+    {
+        return bits_ == o.bits_ && used_ == o.used_ &&
+               emptyKeyResident_ == o.emptyKeyResident_ &&
+               slots_ == o.slots_;
+    }
+
     /** log2 of the slot count of a new (or cleared) table. */
     static constexpr int kInitialBits = 6;
 

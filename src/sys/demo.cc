@@ -13,9 +13,6 @@ using namespace rp::literals;
 
 namespace {
 
-/** DIMM temperature of the loaded system under sustained attack. */
-constexpr double kTemperatureC = 65.0;
-
 constexpr int kNumDummies = 16;      ///< TRR-bypass dummy rows (section 6.2).
 constexpr int kDummyActsPerIter = 4; ///< Activations per dummy per iteration.
 
@@ -50,21 +47,69 @@ struct VictimRun
     std::vector<int> dummies;
 };
 
+/**
+ * Longest repeat, in iterations, the fast-forward looks for (TRR's
+ * counter table can cycle through several states while its decisions
+ * stay the same).
+ */
+constexpr int kMaxPeriod = 32;
+
+/**
+ * The controller side at the start of one iteration: everything the
+ * rest of the loop's commands depend on (the fault state is not part
+ * of it; see demo.h).
+ */
+struct IterationStart
+{
+    Time t = 0;
+    MemCtrl::Snapshot mc;
+    std::vector<mitigation::Trr::Bank> trr;
+    std::uint64_t targeted = 0;
+    CacheModel cache;
+
+    void
+    capture(Time now, const MemCtrl &ctrl, const mitigation::Trr &trr_,
+            const CacheModel &cache_)
+    {
+        t = now;
+        ctrl.snapshot(mc);
+        trr = trr_.state();
+        targeted = trr_.targetedRefreshes();
+        cache = cache_;
+    }
+
+    /** True if this state is @p earlier's, shifted in time. */
+    bool
+    repeats(const IterationStart &earlier) const
+    {
+        const Time delta = mc.nextRef - earlier.mc.nextRef;
+        return t == earlier.t + delta && mc.repeats(earlier.mc, delta) &&
+               trr == earlier.trr && cache == earlier.cache;
+    }
+};
+
 } // namespace
 
 DemoResult
 runDemo(const DemoConfig &cfg)
 {
-    dram::Organization org;
-    device::Chip chip(device::dieById(kDemoDieId), org, dram::ddr4_2400(),
-                      cfg.seed);
-    chip.setTemperature(kTemperatureC);
+    device::Chip chip(device::dieById(kDemoDieId), dram::Organization{},
+                      dram::ddr4_2400(), cfg.seed);
+    chip.setTemperature(kDemoTemperatureC);
+    return runDemo(cfg, chip);
+}
 
-    mitigation::Trr trr(org.totalBanks());
+DemoResult
+runDemo(const DemoConfig &cfg, device::Chip &chip)
+{
+    mitigation::Trr trr(chip.org().totalBanks());
     MemCtrl mc(chip, &trr);
     CacheModel cache;
 
     DemoResult result;
+    device::Chip::PeriodLog log;
+    // Iteration starts of the current victim, by iteration % kMaxPeriod.
+    std::vector<IterationStart> starts(kMaxPeriod);
     const int bank = 1;
     const std::uint64_t acts_before = mc.activates();
 
@@ -96,7 +141,44 @@ runDemo(const DemoConfig &cfg)
                                  ? kReadSpacing + 4 * kFlushCost
                                  : kReadSpacing;
 
+        // Fast-forward (demo.h): once an iteration starts in the state
+        // of one of the kMaxPeriod before it, shifted in time, record
+        // the stretch from here to the next repeat, then apply whole
+        // repetitions of it to the rows alone.
+        int record_from = -1; // -2: fast-forward done
+        int period_iters = 0;
         for (int iter = 0; iter < cfg.numIters; ++iter) {
+            if (record_from >= 0 && iter == record_from + period_iters) {
+                chip.setPeriodLog(nullptr);
+                const IterationStart &start =
+                    starts[std::size_t(record_from % kMaxPeriod)];
+                const Time period = mc.nextRefreshAt() - start.mc.nextRef;
+                const int k = (cfg.numIters - iter) / period_iters;
+                chip.fastForward(log, period, k);
+                mc.fastForward(start.mc, period, k);
+                trr.creditTargetedRefreshes(
+                    std::uint64_t(k) *
+                    (trr.targetedRefreshes() - start.targeted));
+                t += k * period;
+                iter += k * period_iters;
+                record_from = -2;
+                if (iter == cfg.numIters)
+                    break;
+            }
+            if (record_from == -1) {
+                IterationStart &cur = starts[std::size_t(iter % kMaxPeriod)];
+                cur.capture(t, mc, trr, cache);
+                for (int p = 1; p < kMaxPeriod && p <= iter; ++p) {
+                    if (cur.repeats(
+                            starts[std::size_t((iter - p) % kMaxPeriod)])) {
+                        record_from = iter;
+                        period_iters = p;
+                        chip.setPeriodLog(&log);
+                        break;
+                    }
+                }
+            }
+
             // Synchronize with refresh: start each iteration right
             // after a REF so the aggressor phase sits at the start of
             // a tREFI slot and the dummy phase covers the next REF
@@ -148,6 +230,7 @@ runDemo(const DemoConfig &cfg)
             mc.advanceTo(t);
             t = std::max(t, mc.now());
         }
+        chip.setPeriodLog(nullptr);
 
         // Inspect the victim row (latched flips + any pending dose).
         chip.materializeRow(run.bank, run.victim, mc.now());

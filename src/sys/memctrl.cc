@@ -124,4 +124,48 @@ MemCtrl::readBlock(int bank, int row, int column, Time arrive)
     return ready;
 }
 
+void
+MemCtrl::snapshot(Snapshot &out) const
+{
+    out.now = now_;
+    out.nextRef = nextRef_;
+    out.banks.clear();
+    for (int b = 0; b < chip_.org().totalBanks(); ++b)
+        out.banks.push_back(chip_.bank(b));
+    out.refs = refs_;
+    out.acts = acts_;
+    out.pres = pres_;
+    out.trackedOpenTime = trackedOpenTime_;
+    out.trackedPres = trackedPres_;
+}
+
+bool
+MemCtrl::Snapshot::repeats(const Snapshot &earlier, Time delta) const
+{
+    if (now != earlier.now + delta || nextRef != earlier.nextRef + delta ||
+        banks.size() != earlier.banks.size())
+        return false;
+    for (std::size_t b = 0; b < banks.size(); ++b) {
+        if (!banks[b].repeats(earlier.banks[b], delta))
+            return false;
+    }
+    return true;
+}
+
+void
+MemCtrl::fastForward(const Snapshot &start, Time period, std::int64_t k)
+{
+    const Time shift = k * period;
+    now_ += shift;
+    nextRef_ += shift;
+    for (int b = 0; b < chip_.org().totalBanks(); ++b)
+        chip_.bank(b).shift(shift);
+    const auto n = std::uint64_t(k);
+    refs_ += n * (refs_ - start.refs);
+    acts_ += n * (acts_ - start.acts);
+    pres_ += n * (pres_ - start.pres);
+    trackedOpenTime_ += k * (trackedOpenTime_ - start.trackedOpenTime);
+    trackedPres_ += n * (trackedPres_ - start.trackedPres);
+}
+
 } // namespace rp::sys

@@ -49,6 +49,39 @@ class MemCtrl
     /** Let wall-clock advance to @p t, performing due refreshes. */
     void advanceTo(Time t);
 
+    /** The controller's state and counters at one instant, with the
+     *  timing state of the chip's banks it schedules against. */
+    struct Snapshot
+    {
+        Time now = 0;
+        Time nextRef = 0;
+        std::vector<dram::Bank> banks;
+        std::uint64_t refs = 0;
+        std::uint64_t acts = 0;
+        std::uint64_t pres = 0;
+        Time trackedOpenTime = 0;
+        std::uint64_t trackedPres = 0;
+
+        /**
+         * True if this state is @p earlier's shifted by @p delta
+         * (counters aside): given the same requests @p delta later,
+         * the controller issues the same commands @p delta later.
+         */
+        bool repeats(const Snapshot &earlier, Time delta) const;
+    };
+
+    /** Capture the current state into @p out (reusing its storage). */
+    void snapshot(Snapshot &out) const;
+
+    /**
+     * Account @p k more repetitions of the stretch since @p start,
+     * each @p period long: times and bank timing shift by
+     * k * @p period and each counter grows by k times its growth
+     * since @p start.  The chip's rows are the caller's
+     * (device::Chip::fastForward).
+     */
+    void fastForward(const Snapshot &start, Time period, std::int64_t k);
+
   private:
     void doRefresh(Time t);
     void closeOpenRows(Time t);
